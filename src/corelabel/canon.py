@@ -33,10 +33,20 @@ def canonical_key(n: int, upper: list[int], lower: list[int]) -> bytes:
             if best is None or enc < best:
                 best = enc
             return
+        c = colors[cell[0]]
+        # Twins (same upper and same lower covers) are swapped by an
+        # automorphism that fixes every individualized vertex, so their
+        # subtrees yield the same encodings: explore one per twin class.
+        tried: set[tuple[int, int]] = set()
         for v in cell:
-            split = _compress(
-                [(colors[i], 0 if i == v else 1) for i in range(n)]
-            )
+            twin = (upper[v], lower[v])
+            if twin in tried:
+                continue
+            tried.add(twin)
+            # Individualize v: it keeps color c, the rest of its cell
+            # moves up one, as _compress of (color, i != v) would give.
+            split = [x if x < c else x + 1 for x in colors]
+            split[v] = c
             rec(_refine(n, ups, downs, split))
 
     rec(colors)
@@ -77,14 +87,12 @@ def _compress(sig: list) -> list[int]:
 
 
 def _refine(n: int, ups, downs, colors: list[int]) -> list[int]:
+    # colors are dense ranks; so are the returned ones.
     while True:
+        get = colors.__getitem__
         sig = [
-            (
-                colors[i],
-                tuple(sorted(colors[j] for j in ups[i])),
-                tuple(sorted(colors[j] for j in downs[i])),
-            )
-            for i in range(n)
+            (c, tuple(sorted(map(get, u))), tuple(sorted(map(get, d))))
+            for c, u, d in zip(colors, ups, downs)
         ]
         new = _compress(sig)
         if new == colors:
@@ -93,12 +101,13 @@ def _refine(n: int, ups, downs, colors: list[int]) -> list[int]:
 
 
 def _first_nonsingleton(n: int, colors: list[int]) -> list[int] | None:
-    cells: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        cells.setdefault(c, []).append(i)
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            return cells[c]
+    # The cell of the smallest color held by more than one vertex.
+    size = [0] * n
+    for c in colors:
+        size[c] += 1
+    for c, k in enumerate(size):
+        if k > 1:
+            return [i for i, x in enumerate(colors) if x == c]
     return None
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -40,11 +41,19 @@ from .lattice import (
     is_spherical,
 )
 from .poset import (
-    read_poset_json,
-    read_poset_text,
+    _parse_poset_json,
+    _parse_poset_text,
+    from_covers,
     write_poset_json,
     write_poset_text,
 )
+
+# Largest element count a poset file may declare.  The kernels are built
+# for small lattices (as_lattice fills n-by-n join and meet tables, and
+# `check` on a 256-element chain takes seconds), so the declared size is
+# checked before anything of that size is allocated.  Every bundled or
+# generated input (gen-cu stops at 14 elements) is far below it.
+MAX_ELEMENTS = 256
 
 
 def _read_input(path: str) -> str:
@@ -62,9 +71,13 @@ def _read_input(path: str) -> str:
 
 def _load_poset(path: str):
     text = _read_input(path)
-    if path.endswith(".json"):
-        return read_poset_json(text)
-    return read_poset_text(text)
+    parse = _parse_poset_json if path.endswith(".json") else _parse_poset_text
+    n, edges = parse(text)
+    if n > MAX_ELEMENTS:
+        raise ValueError(
+            f"{path}: {n} elements, above the supported maximum {MAX_ELEMENTS}"
+        )
+    return from_covers(n, edges)
 
 
 def _require_lattice(path: str) -> Lattice:
@@ -502,7 +515,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-n", type=_positive_int, required=True)
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--extended", action="store_true")
-    sp.add_argument("--threads", type=_positive_int, default=1)
 
     sp = add("clo", _cmd_clo, "core label sets and core label order")
     sp.add_argument("file")
@@ -518,12 +530,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--skip-spherical", action="store_true")
     sp.add_argument("--skip-single-step", action="store_true")
     sp.add_argument("--skip-clo", action="store_true")
-    sp.add_argument("--threads", type=_positive_int, default=1)
 
     sp = add("table1", _cmd_table1, "census of lattices by size")
     sp.add_argument("--max-n", type=_positive_int, required=True)
     sp.add_argument("--extended", action="store_true")
-    sp.add_argument("--threads", type=_positive_int, default=1)
 
     sp = add("fixtures", _cmd_fixtures, "bundled fixture maintenance")
     sp.add_argument("action", choices=["verify"])
@@ -535,7 +545,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`lattice table1 ... | head`): stop
+        # quietly, and point stdout at devnull so the exit-time flush of
+        # what is still buffered cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

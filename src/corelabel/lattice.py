@@ -252,14 +252,6 @@ def is_spherical(lat: Lattice) -> bool:
 
 # Kernels on raw bitset arrays, shared with the enumeration stream.
 
-def _join_raw(up: list[int], a: int, b: int) -> int:
-    return lowest(up[a] & up[b])
-
-
-def _meet_raw(down: list[int], a: int, b: int) -> int:
-    return highest(down[a] & down[b])
-
-
 def _sd_witness(n: int, up: list[int], down: list[int], dual: bool):
     # Returns (x, y, z) violating the (join; meet if dual) law, else None.
     if dual:

@@ -213,6 +213,11 @@ def _find_cycle(n: int, succ: list[set[int]], done: set[int]) -> list[int]:
 
 def read_poset_text(text: str) -> Poset:
     """Parse the text format: first line n, then one `u v` cover per line."""
+    return from_covers(*_parse_poset_text(text))
+
+
+def _parse_poset_text(text: str) -> tuple[int, list[tuple[int, int]]]:
+    # The declared size and the cover pairs, before anything of size n exists.
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -241,7 +246,7 @@ def read_poset_text(text: str) -> Poset:
         edges.append((u, v))
     if n is None:
         raise FormatError(1, "empty input, expected an element count")
-    return from_covers(n, edges)
+    return n, edges
 
 
 def write_poset_text(p: Poset) -> str:
@@ -253,6 +258,10 @@ def write_poset_text(p: Poset) -> str:
 
 def read_poset_json(text: str) -> Poset:
     """Parse the JSON mirror {"n": int, "covers": [[u, v], ...]}."""
+    return from_covers(*_parse_poset_json(text))
+
+
+def _parse_poset_json(text: str) -> tuple[int, list[tuple[int, int]]]:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -265,7 +274,7 @@ def read_poset_json(text: str) -> Poset:
         for e in covers
     ):
         raise ValueError("field 'covers' must be a list of [u, v] pairs")
-    return from_covers(obj["n"], [tuple(e) for e in covers])
+    return obj["n"], [tuple(e) for e in covers]
 
 
 def write_poset_json(p: Poset) -> str:

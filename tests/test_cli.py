@@ -1,10 +1,17 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from corelabel.cli import main
+import corelabel
+from corelabel import cli
+from corelabel.cli import MAX_ELEMENTS, main
 
 
 def run(capsys, *argv):
@@ -331,6 +338,66 @@ def test_error_diagnostics(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "name, declared",
+    [
+        ("header.lat", MAX_ELEMENTS + 1),
+        ("header.json", MAX_ELEMENTS + 1),
+        ("huge.json", 10**12),
+    ],
+)
+def test_declared_size_above_the_cap_exits_1(
+    capsys, tmp_path, monkeypatch, name, declared
+):
+    # A header with no covers: only the declared size could cost memory.
+    path = tmp_path / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps({"n": declared}))
+    else:
+        path.write_text(f"{declared}\n")
+
+    def refuse(n, edges):
+        raise AssertionError(f"from_covers reached with n={n}")
+
+    monkeypatch.setattr(cli, "from_covers", refuse)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "check", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1 and out == ""
+    assert err == (
+        f"error: {path}: {declared} elements, above the supported maximum "
+        f"{MAX_ELEMENTS}\n"
+    )
+    assert peak < 1 << 20
+
+
+def test_declared_size_at_the_cap_is_read(capsys, tmp_path):
+    path = tmp_path / "antichain.lat"
+    path.write_text(f"{MAX_ELEMENTS}\n")
+    rc, out, _ = run(capsys, "check", str(path))
+    assert rc == 0
+    assert out.splitlines()[1].startswith("not a lattice: ")
+
+
+def test_closed_stdout_ends_quietly():
+    src = str(Path(corelabel.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corelabel.cli", "table1", "--max-n", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def test_usage_errors_exit_with_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["quotient", "fig2a.lat"])
@@ -338,6 +405,14 @@ def test_usage_errors_exit_with_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+    for argv in (
+        ["table1", "--max-n", "3"],
+        ["gen-cu", "--max-n", "3"],
+        ["search61", "--m", "2"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--threads", "2"])
+        assert err.value.code == 2
 
 
 def test_reads_explicit_paths(capsys, tmp_path):
