@@ -20,6 +20,7 @@ from .biclosed import (
 from .bitsets import bits
 from .congruence import cg, congruence_lattice, is_congruence_uniform, quotient
 from .core_label import (
+    _label_cu,
     boolean_defect,
     boolean_nexus,
     core_label_order,
@@ -36,8 +37,8 @@ from .lattice import (
     as_lattice,
     atoms,
     coatoms,
+    is_join_semidistributive,
     is_meet_semidistributive,
-    is_semidistributive,
     is_spherical,
 )
 from .poset import (
@@ -54,6 +55,11 @@ from .poset import (
 # checked before anything of that size is allocated.  Every bundled or
 # generated input (gen-cu stops at 14 elements) is far below it.
 MAX_ELEMENTS = 256
+
+# Most congruences `con` lists.  Con(L) can have 2^(n-1) members (a chain
+# on n elements), and building it fills |Con L|-by-|Con L| tables, so the
+# count is taken from the cover congruences before any partition is built.
+MAX_CONGRUENCES = 1024
 
 
 def _read_input(path: str) -> str:
@@ -140,10 +146,11 @@ def _cmd_check(args) -> int:
     got = as_lattice(p)
     if isinstance(got, Lattice):
         lat = got
-        sd = is_semidistributive(lat)
+        jsd = is_join_semidistributive(lat)
+        msd = is_meet_semidistributive(lat)
+        sd = jsd and msd
         cu = is_congruence_uniform(lat)
         mu = p.mobius(lat.bottom, lat.top)
-        msd = is_meet_semidistributive(lat)
         if args.json:
             print(
                 json.dumps(
@@ -189,7 +196,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_con(args) -> int:
     lat = _require_lattice(args.file)
-    con = congruence_lattice(lat)
+    con = congruence_lattice(lat, limit=MAX_CONGRUENCES)
     if args.json:
         rows = [[list(c) for c in t.classes()] for t in con.congruences]
         print(json.dumps({"count": len(con.congruences), "partitions": rows}))
@@ -356,7 +363,7 @@ def _cmd_biclosed(args) -> int:
     )
     latv = None
     if cu:
-        latv = is_clo_lattice(core_label_order(label_covers(lat)))
+        latv = is_clo_lattice(core_label_order(_label_cu(lat)))
         info["clo_lattice"] = bool(latv)
     if args.json:
         print(json.dumps(info))

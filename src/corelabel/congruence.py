@@ -159,51 +159,98 @@ class CongruenceLattice:
     congruences: tuple[Congruence, ...]
 
 
-def congruence_lattice(lat: Lattice) -> CongruenceLattice:
-    """All congruences of L, as joins of the cover congruences cg(j)."""
+def congruence_lattice(lat: Lattice, limit: int | None = None) -> CongruenceLattice:
+    """All congruences of L, as the down-sets of the cover congruences cg(j).
+
+    Two facts make this exact.  A cg(j) collapses a single cover, so it
+    lies below a join of congruences only if it lies below one of them:
+    the distinct cg(j) are the join-irreducibles of the distributive
+    lattice Con(L), every congruence is the join of those below it, and by
+    Birkhoff's theorem the down-sets of the cg(j) correspond one to one to
+    the congruences, the covers of Con(L) being the steps D -> D + {g}.
+    And Con(L) is a sublattice of the partition lattice, so the join of
+    two congruences is the transitive closure of their union.
+
+    With a limit, raises ValueError before building any partition when
+    L has more than limit congruences.
+    """
     n = lat.n
-    gens = []
-    seen = set()
+    seen: dict[tuple[int, ...], tuple[int, int]] = {}
     for ji in join_irreducibles(lat):
         arr = _cg_classes(n, lat.poset.up, lat.poset.down, ((ji.j_star, ji.j),))
-        if arr not in seen:
-            seen.add(arr)
-            gens.append(arr)
-    ident = tuple(range(n))
-    known = {ident} | set(gens)
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                j = _join_partitions(n, lat, a, g)
-                if j not in known:
-                    known.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    ordered = sorted(known, key=lambda arr: (-len(set(arr)), arr))
-    congruences = tuple(Congruence(lat, arr) for arr in ordered)
-    edges = []
-    for i, ci in enumerate(congruences):
-        for k, ck in enumerate(congruences):
-            if i != k and ci.refines(ck):
-                edges.append((i, k))
-    conlat = as_lattice(from_covers(len(ordered), edges))
+        seen.setdefault(arr, (ji.j_star, ji.j))
+    # A congruence with more classes is never above one with fewer, so
+    # this order is a linear extension of Con(L) on the generators.
+    gens = sorted(seen, key=lambda arr: -len(set(arr)))
+    # below[i]: generators strictly below gens[i]; cg(a, b) <= theta iff
+    # theta collapses a and b.
+    below = [
+        mask_of(h for h, g in enumerate(gens)
+                if h != i and arr[seen[g][0]] == arr[seen[g][1]])
+        for i, arr in enumerate(gens)
+    ]
+    downsets = _down_sets(below, limit)
+    index = {d: k for k, d in enumerate(downsets)}
+    parts = [tuple(range(n))]
+    for d in downsets[1:]:
+        top = d.bit_length() - 1
+        parts.append(_join_partitions(parts[index[d ^ 1 << top]], gens[top]))
+    rank = sorted(range(len(parts)), key=lambda k: (-len(set(parts[k])), parts[k]))
+    pos = [0] * len(rank)
+    for r, k in enumerate(rank):
+        pos[k] = r
+    edges = [
+        (pos[k], pos[index[d | 1 << g]])
+        for k, d in enumerate(downsets)
+        for g in range(len(gens))
+        if not d >> g & 1 and below[g] & ~d == 0
+    ]
+    congruences = tuple(Congruence(lat, parts[k]) for k in rank)
+    conlat = as_lattice(from_covers(len(rank), edges))
     assert isinstance(conlat, Lattice), "Con(L) must be a lattice"
     return CongruenceLattice(conlat, congruences)
 
 
-def _join_partitions(n: int, lat: Lattice, a, b) -> tuple[int, ...]:
-    # Join in Con(L): transitive closure of the union, then the
-    # compatibility closure (a no-op for lattice congruences, kept cheap
-    # by seeding the worklist with both partitions' pairs).
-    pairs = [(i, a[i]) for i in range(n) if a[i] != i]
-    pairs += [(i, b[i]) for i in range(n) if b[i] != i]
-    return _cg_classes(n, lat.poset.up, lat.poset.down, tuple(pairs))
+def _down_sets(below: list[int], limit: int | None) -> list[int]:
+    # Down-sets of a poset given by strict down-masks over a linear
+    # extension, as bitsets in increasing order.  Element i extends every
+    # down-set of 0..i-1 that holds all of below[i].
+    out = [0]
+    for i, need in enumerate(below):
+        out += [d | 1 << i for d in out if d & need == need]
+        if limit is not None and len(out) > limit:
+            raise ValueError(f"more than {limit} congruences")
+    return out
+
+
+def _join_partitions(a, b) -> tuple[int, ...]:
+    # Join in Con(L) = join in the partition lattice: union-find over the
+    # classes of both.  Roots stay the least member of their class.
+    parent = list(a)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in enumerate(b):
+        if x != y:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    return tuple(find(x) for x in range(len(parent)))
 
 
 def is_congruence_uniform(lat: Lattice) -> Verdict:
-    """j -> cg(j) injective on J(L) and, dually, on M(L)."""
+    """j -> cg(j) injective on J(L) and, dually, on M(L).
+
+    Every cover congruence cg(u, v) equals cg(j_star, j) for some
+    join-irreducible j and cg(m, m_star) for some meet-irreducible m (take
+    the perspective cover).  So both maps are onto the same set, and once
+    the join map is injective the meet map is injective exactly when
+    |M(L)| = |J(L)|; the meet-side closures run only when the counts differ.
+    """
     w = _cu_witness(lat.n, lat.poset.up, lat.poset.down,
                     lat.poset.upper, lat.poset.lower)
     return Verdict(w is None, w)
@@ -222,14 +269,15 @@ def _cu_witness(n: int, up, down, upper, lower):
             if arr in seen:
                 return ("join", seen[arr], j)
             seen[arr] = j
+    meets = [m for m in range(n) if upper[m] and upper[m] & (upper[m] - 1) == 0]
+    if len(meets) == len(seen):
+        return None
     seen = {}
-    for m in range(n):
-        uc = upper[m]
-        if uc and uc & (uc - 1) == 0:
-            arr = _cg_classes(n, up, down, ((m, lowest(uc)),))
-            if arr in seen:
-                return ("meet", seen[arr], m)
-            seen[arr] = m
+    for m in meets:
+        arr = _cg_classes(n, up, down, ((m, lowest(upper[m])),))
+        if arr in seen:
+            return ("meet", seen[arr], m)
+        seen[arr] = m
     return None
 
 

@@ -47,6 +47,12 @@ def label_covers(lat: Lattice) -> CoverLabeling:
             f"cover labeling needs a congruence-uniform lattice; "
             f"witness {cu.witness}"
         )
+    return _label_cu(lat)
+
+
+def _label_cu(lat: Lattice) -> CoverLabeling:
+    # label_covers without the uniformity test, for callers that hold a
+    # passing is_congruence_uniform verdict for lat.
     p = lat.poset
     got = _labels_raw(lat.n, p.up, p.down, p.upper, p.lower)
     assert got is not None, "a congruence-uniform lattice must label uniquely"

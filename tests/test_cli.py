@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import corelabel
-from corelabel import cli
-from corelabel.cli import MAX_ELEMENTS, main
+from corelabel import cli, congruence, lattice
+from corelabel.cli import MAX_CONGRUENCES, MAX_ELEMENTS, main
 
 
 def run(capsys, *argv):
@@ -68,6 +68,23 @@ def test_check_json(capsys):
     }
 
 
+def test_check_tests_each_semidistributive_law_once(capsys, monkeypatch):
+    calls = []
+    kernel = lattice._sd_witness
+
+    def counted(n, up, down, dual):
+        calls.append(dual)
+        return kernel(n, up, down, dual)
+
+    monkeypatch.setattr(lattice, "_sd_witness", counted)
+    for name in sorted(CHECK_GOLDENS):
+        calls.clear()
+        rc, out, _ = run(capsys, "check", name)
+        assert rc == 0 and out.splitlines() == CHECK_GOLDENS[name]
+        lat = not out.startswith("lattice: no")
+        assert sorted(calls) == ([False, True] if lat else [])
+
+
 def test_con_golden(capsys):
     rc, out, _ = run(capsys, "con", "fig2a.lat")
     assert rc == 0
@@ -91,6 +108,31 @@ def test_con_golden(capsys):
             [[0, 1, 2, 3, 4]],
         ],
     }
+
+
+def chain_file(tmp_path, n):
+    path = tmp_path / f"chain{n}.lat"
+    path.write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    return str(path)
+
+
+def test_con_lists_congruences_up_to_the_cap(capsys, tmp_path):
+    rc, out, err = run(capsys, "con", chain_file(tmp_path, 11))
+    lines = out.splitlines()
+    assert rc == 0 and err == ""
+    assert lines[0] == f"congruences: {MAX_CONGRUENCES}"
+    assert len(lines) == MAX_CONGRUENCES + 1
+    assert lines[-1] == "1023: " + " ".join(str(i) for i in range(11))
+
+
+def test_con_above_the_cap_exits_1(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a partition join was built")
+
+    monkeypatch.setattr(congruence, "_join_partitions", refuse)
+    rc, out, err = run(capsys, "con", chain_file(tmp_path, 12))
+    assert rc == 1 and out == ""
+    assert err == f"error: more than {MAX_CONGRUENCES} congruences\n"
 
 
 def test_quotient_golden(capsys):
@@ -225,6 +267,19 @@ def test_biclosed_golden(capsys):
         "single_step": False,
         "clo_lattice": False,
     }
+
+
+def test_biclosed_tests_uniformity_once(capsys, monkeypatch):
+    calls = []
+    kernel = congruence._cu_witness
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(congruence, "_cu_witness", counted)
+    test_biclosed_golden(capsys)  # one human and one --json run
+    assert len(calls) == 2
 
 
 def test_table1_golden(capsys):
