@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator
+from functools import cache
 from itertools import permutations
+from math import factorial
 
 from .bitsets import bits, mask_of
 from .congruence import is_congruence_uniform
@@ -15,6 +18,16 @@ from .lattice import (
     is_meet_semidistributive,
 )
 from .poset import FormatError, Poset, from_covers
+
+# Largest ground set a closure file may name.  Reading one builds a table
+# of all 2^m subsets and validating it visits 3^m pairs, so the names are
+# counted as they are read; 2^8 subsets is also the command line's cap of
+# 256 poset elements.
+MAX_GROUND = 8
+
+# Largest ground size canonical_family_key accepts.  Its table holds
+# 2^m * m! lanes of 2^m bits: about 10 MB at m=7, 330 MB at m=8.
+MAX_KEY_GROUND = 7
 
 
 class ClosureOperator:
@@ -109,24 +122,55 @@ def biclosed_poset(op: ClosureOperator):
 
 def is_single_step(op: ClosureOperator) -> Verdict:
     """Every strict containment of biclosed sets grows one element at a time."""
-    fam = biclosed_family(op)
-    members = set(fam)
-    for i, x in enumerate(fam):
-        for y in fam[i + 1:]:
+    witness = _single_step_witness(biclosed_family(op))
+    return Verdict(True) if witness is None else Verdict(False, witness)
+
+
+def _single_step_witness(bic) -> tuple[int, int] | None:
+    """First pair x < y of the family, sorted by (size, value), such that no
+    x + e with e in y is a member; None if there is none."""
+    members = set(bic)
+    for i, x in enumerate(bic):
+        for y in bic[i + 1:]:
             if x & ~y or x == y:
                 continue
             if not any(x | (1 << e) in members for e in bits(y & ~x)):
-                return Verdict(False, (x, y))
-    return Verdict(True)
+                return x, y
+    return None
 
 
 def moore_families(m: int) -> Iterator[frozenset[int]]:
-    """All intersection-closed families on {0..m-1} containing the ground set."""
+    """All intersection-closed families on {0..m-1} containing the ground set.
+
+    A depth-first walk over the subsets x = 2^m - 2, ..., 0: x is left out
+    first and taken second, unless the intersection of x with a member
+    already taken forces it in.
+    """
     full = (1 << m) - 1
     fam = [full]
     forced = bytearray(1 << m)
-
-    def include(x: int) -> list[int]:
+    # One entry per decided subset: (x, None) when x is left out with its
+    # inclusion still to try, (x, marked) when x is in and taking it forced
+    # the subsets in marked.
+    stack: list[tuple[int, list[int] | None]] = []
+    x = full - 1
+    while True:
+        if x < 0:
+            yield frozenset(fam)
+            while stack:
+                x, marked = stack.pop()
+                if marked is None:
+                    break
+                fam.pop()
+                for r in marked:
+                    forced[r] = 0
+            else:
+                return
+        elif not forced[x]:
+            stack.append((x, None))
+            x -= 1
+            continue
+        # Take x: it is forced, or it was left out and now goes in.
         marked = []
         for y in fam:
             r = x & y
@@ -134,28 +178,8 @@ def moore_families(m: int) -> Iterator[frozenset[int]]:
                 forced[r] = 1
                 marked.append(r)
         fam.append(x)
-        return marked
-
-    def undo(marked: list[int]) -> None:
-        fam.pop()
-        for r in marked:
-            forced[r] = 0
-
-    def rec(x: int) -> Iterator[frozenset[int]]:
-        if x < 0:
-            yield frozenset(fam)
-            return
-        if forced[x]:
-            marked = include(x)
-            yield from rec(x - 1)
-            undo(marked)
-            return
-        yield from rec(x - 1)
-        marked = include(x)
-        yield from rec(x - 1)
-        undo(marked)
-
-    yield from rec(full - 1)
+        stack.append((x, marked))
+        x -= 1
 
 
 def operator_from_family(m: int, fam: Iterable[int]) -> ClosureOperator:
@@ -175,21 +199,57 @@ def operator_from_family(m: int, fam: Iterable[int]) -> ClosureOperator:
     return op
 
 
-def canonical_family_key(m: int, fam: Iterable[int]) -> tuple[int, ...]:
-    """Least relabeling of a set family under ground-set permutations."""
-    fs = sorted(fam)
-    best = None
+@cache
+def _relabel_table(m: int) -> tuple[tuple[int, ...], int]:
+    """Rows and lane width in bytes.  Row x packs the image y of subset x
+    under every permutation of {0..m-1}, in permutations(range(m)) order,
+    as one big-endian lane per permutation with the bit 2^m - 1 - y set."""
+    size = 1 << m
+    width = max(size // 8, 1)
+    remaps = []
     for perm in permutations(range(m)):
-        remap = [0] * (1 << m)
-        for x in range(1 << m):
-            y = 0
-            for b in bits(x):
-                y |= 1 << perm[b]
-            remap[x] = y
-        img = tuple(sorted(remap[f] for f in fs))
-        if best is None or img < best:
-            best = img
-    return best if best is not None else tuple(fs)
+        remap = [0] * size
+        for x in range(1, size):
+            low = x & -x
+            remap[x] = remap[x ^ low] | 1 << perm[low.bit_length() - 1]
+        remaps.append(remap)
+    rows = tuple(
+        int.from_bytes(
+            b"".join((1 << (size - 1 - r[x])).to_bytes(width, "big") for r in remaps),
+            "big",
+        )
+        for x in range(size)
+    )
+    return rows, width
+
+
+def canonical_family_key(m: int, fam: Iterable[int]) -> tuple[int, ...]:
+    """Least relabeling of a set family under ground-set permutations.
+
+    The least relabeling is the least sorted image.  Images come from a
+    table built once per ground size: 2^m rows of m! lanes, 2^m * m!
+    entries (3,840 at m=5, 46,080 at m=6).  OR-ing the rows of the
+    family's members gives, in each permutation's lane, the bitmask of
+    the family's image with image y at bit 2^m - 1 - y.  All images have
+    the same size, and one sorts before another exactly when the least
+    image where they differ is its own, that is when its lane is the
+    greater number.  So the key is read off the greatest lane, compared
+    as bytes.  A member listed twice counts once.  Ground sets above
+    MAX_KEY_GROUND points are refused.
+    """
+    if m > MAX_KEY_GROUND:
+        raise ValueError(
+            f"ground size {m} above {MAX_KEY_GROUND}: the relabeling table "
+            "would hold 2^m * m! lanes"
+        )
+    rows, width = _relabel_table(m)
+    packed = 0
+    for f in fam:
+        packed |= rows[f]
+    raw = packed.to_bytes(width * factorial(m), "big")
+    best = max(raw[i:i + width] for i in range(0, len(raw), width))
+    top = (1 << m) - 1
+    return tuple(sorted(top - b for b in bits(int.from_bytes(best, "big"))))
 
 
 def search_problem_6_1(
@@ -205,63 +265,47 @@ def search_problem_6_1(
     whose biclosed sets form a spherical congruence-uniform lattice under
     single-step inclusion with a non-lattice core label order.
 
-    An exhausted stream with no hits is a verified-empty result.
+    An exhausted stream with no hits is a verified-empty result.  Every
+    filter reads only the biclosed family, so its verdict is computed once
+    per distinct family; the canonical key, which deduplicates the hits,
+    is computed only for Moore families that pass.
     """
     if m > bound:
         raise ValueError(f"ground size {m} above bound {bound}; raise bound explicitly")
     from .core_label import _clo_is_lattice_raw, _labels_raw, _psi_masks_raw
 
-    full = (1 << m) - 1
-    seen: set[tuple[int, ...]] = set()
-    for fam in moore_families(m):
-        members = set(fam)
-        bic = [x for x in members if full ^ x in members]
-        bic.sort(key=lambda x: (x.bit_count(), x))
+    def passes(bic: list[int]) -> bool:
         if require_cu or require_spherical or require_clo_not_lattice:
             if not bic:
-                continue
-            p = _containment_poset(tuple(bic))
-            lat = as_lattice(p)
+                return False
+            lat = as_lattice(_containment_poset(tuple(bic)))
             if not isinstance(lat, Lattice):
-                continue
-            if require_cu or require_clo_not_lattice:
-                cu = is_congruence_uniform(lat)
-                if require_cu and not cu:
-                    continue
+                return False
+            if (require_cu or require_clo_not_lattice) and not is_congruence_uniform(lat):
+                return False
             if require_spherical:
                 if not is_meet_semidistributive(lat):
-                    continue
+                    return False
                 if lat.poset.mobius(lat.bottom, lat.top) == 0:
-                    continue
+                    return False
             if require_clo_not_lattice:
-                if not cu:
-                    continue
-                got = _labels_raw(
-                    lat.n, lat.poset.up, lat.poset.down,
-                    lat.poset.upper, lat.poset.lower,
-                )
-                assert got is not None
-                jlist, label = got
-                masks = _psi_masks_raw(
-                    lat.n, lat.poset.up, lat.poset.down,
-                    lat.poset.upper, lat.poset.lower, jlist, label,
-                )
+                p = lat.poset
+                jlist, label = _labels_raw(lat.n, p.up, p.down, p.upper, p.lower)
+                masks = _psi_masks_raw(lat.n, p.up, p.down, p.upper, p.lower, jlist, label)
                 if _clo_is_lattice_raw(lat.n, masks):
-                    continue
-        if require_single_step:
-            members_set = set(bic)
-            ok = True
-            for i, x in enumerate(bic):
-                for y in bic[i + 1:]:
-                    if x & ~y or x == y:
-                        continue
-                    if not any(x | (1 << e) in members_set for e in bits(y & ~x)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
+                    return False
+        return not require_single_step or _single_step_witness(bic) is None
+
+    full = (1 << m) - 1
+    verdicts: dict[frozenset[int], bool] = {}
+    seen: set[tuple[int, ...]] = set()
+    for fam in moore_families(m):
+        bic = frozenset(x for x in fam if full ^ x in fam)
+        ok = verdicts.get(bic)
+        if ok is None:
+            ok = verdicts[bic] = passes(sorted(bic, key=lambda x: (x.bit_count(), x)))
+        if not ok:
+            continue
         key = canonical_family_key(m, fam)
         if key in seen:
             continue
@@ -274,10 +318,25 @@ def read_closure_text(text: str) -> tuple[ClosureOperator, list[str]]:
 
     An optional first line without `->` declares the ground set; otherwise
     the ground set is every element mentioned.  Unlisted subsets close to
-    themselves.  Returns the operator and the sorted element names.
+    themselves.  Returns the operator and the sorted element names.  More
+    than MAX_GROUND names are refused while they are read.
     """
     assignments: list[tuple[int, list[str], list[str]]] = []
-    ground_decl: list[str] | None = None
+    names: set[str] = set()
+
+    def read_names(part: str) -> list[str]:
+        got = []
+        for name in _split_names(part):
+            if name not in names:
+                if len(names) == MAX_GROUND:
+                    raise ValueError(
+                        f"more than {MAX_GROUND} ground elements, above the "
+                        f"supported maximum {MAX_GROUND}"
+                    )
+                names.add(name)
+            got.append(name)
+        return got
+
     first = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -285,17 +344,13 @@ def read_closure_text(text: str) -> tuple[ClosureOperator, list[str]]:
             continue
         if "->" not in line:
             if first:
-                ground_decl = _split_names(line)
+                read_names(line)
                 first = False
                 continue
             raise FormatError(lineno, f"expected `X -> cl(X)`, got {line!r}")
         first = False
         left, right = line.split("->", 1)
-        assignments.append((lineno, _split_names(left), _split_names(right)))
-    names = set(ground_decl or [])
-    for _, left, right in assignments:
-        names.update(left)
-        names.update(right)
+        assignments.append((lineno, read_names(left), read_names(right)))
     ordered = sorted(names)
     index = {name: i for i, name in enumerate(ordered)}
     m = len(ordered)
@@ -311,11 +366,14 @@ def read_closure_text(text: str) -> tuple[ClosureOperator, list[str]]:
     return op, ordered
 
 
-def _split_names(part: str) -> list[str]:
+def _split_names(part: str) -> Iterator[str]:
     part = part.strip()
-    if not part or part in ("{}", "∅"):
-        return []
-    return [tok.strip() for tok in part.split(",") if tok.strip()]
+    if part in ("{}", "∅"):
+        return
+    for tok in re.finditer("[^,]+", part):
+        name = tok.group().strip()
+        if name:
+            yield name
 
 
 def write_closure_text(op: ClosureOperator, names: list[str] | None = None) -> str:

@@ -31,6 +31,10 @@ POSET_NAMES = (
     "fig10a",
 )
 
+# The four closure operators on five points that `lattice search61 --m 5`
+# reports, in its order, with the size of their biclosed-set lattices.
+PROBLEM_61_HITS = (("p61a", 16), ("p61b", 16), ("p61c", 16), ("p61d", 22))
+
 
 def _read(filename: str) -> str:
     return (resources.files("corelabel") / "data" / filename).read_text()
@@ -160,5 +164,20 @@ def verify() -> list[FixtureCheck]:
         and ss.witness == (4, 7),
         "biclosed sets of ex61, a doubling of fig8a by its middle coatom",
     )
+
+    for name, size in PROBLEM_61_HITS:
+        op, _ = load_closure(name)
+        _, lat = biclosed_poset(op)
+        check(
+            name,
+            isinstance(lat, Lattice)
+            and lat.n == size
+            and bool(is_congruence_uniform(lat))
+            and lat.poset.mobius(lat.bottom, lat.top) != 0
+            and bool(is_single_step(op))
+            and not is_clo_lattice(core_label_order(label_covers(lat))),
+            f"{size} biclosed sets: congruence-uniform, spherical, single-step, "
+            "core label order not a lattice",
+        )
 
     return out

@@ -1,6 +1,9 @@
-"""Closure operators, Moore families, biclosed sets, the four-point search."""
+"""Closure operators, Moore families, biclosed sets, the Problem 6.1 search."""
 
-from itertools import permutations
+import random
+import sys
+from itertools import islice, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +12,19 @@ from corelabel import (
     FormatError,
     Lattice,
     are_isomorphic,
+    as_lattice,
     biclosed_family,
     biclosed_poset,
     canonical_family_key,
     closed_family,
     closed_sets_lattice,
+    core_label_order,
     double_interval,
+    is_clo_lattice,
+    is_congruence_uniform,
+    is_meet_semidistributive,
     is_single_step,
+    label_covers,
     moore_families,
     operator_from_family,
     read_closure_text,
@@ -23,7 +32,10 @@ from corelabel import (
     validate,
     write_closure_text,
 )
-from corelabel.fixtures import load_closure, load_lattice, load_poset
+from corelabel import biclosed
+from corelabel.biclosed import _containment_poset
+from corelabel.bitsets import bits
+from corelabel.fixtures import PROBLEM_61_HITS, load_closure, load_lattice, load_poset
 
 
 def test_four_point_fixture_families():
@@ -144,3 +156,241 @@ def test_search_without_single_step_rediscovers_the_fixture():
     assert canonical_family_key(4, closed_family(hits[0])) == canonical_family_key(
         4, closed_family(op)
     )
+
+
+# Test-only references: the recursive Moore walk, the key that rebuilds a
+# remap for every permutation, and the search that runs its filters once per
+# Moore family.  The fast versions must agree with them exactly.
+
+def reference_moore_families(m):
+    full = (1 << m) - 1
+    fam = [full]
+    forced = bytearray(1 << m)
+
+    def include(x):
+        marked = []
+        for y in fam:
+            r = x & y
+            if r != x and not forced[r]:
+                forced[r] = 1
+                marked.append(r)
+        fam.append(x)
+        return marked
+
+    def undo(marked):
+        fam.pop()
+        for r in marked:
+            forced[r] = 0
+
+    def rec(x):
+        if x < 0:
+            yield frozenset(fam)
+            return
+        if forced[x]:
+            marked = include(x)
+            yield from rec(x - 1)
+            undo(marked)
+            return
+        yield from rec(x - 1)
+        marked = include(x)
+        yield from rec(x - 1)
+        undo(marked)
+
+    yield from rec(full - 1)
+
+
+def reference_family_key(m, fam):
+    fs = sorted(fam)
+    best = None
+    for perm in permutations(range(m)):
+        remap = [0] * (1 << m)
+        for x in range(1 << m):
+            y = 0
+            for b in bits(x):
+                y |= 1 << perm[b]
+            remap[x] = y
+        img = tuple(sorted(remap[f] for f in fs))
+        if best is None or img < best:
+            best = img
+    return best
+
+
+def reference_search(m, require_cu, require_spherical, require_single_step,
+                     require_clo_not_lattice):
+    # Keys through canonical_family_key, which is compared with
+    # reference_family_key on its own below.
+    full = (1 << m) - 1
+    seen = set()
+    for fam in reference_moore_families(m):
+        members = set(fam)
+        bic = [x for x in members if full ^ x in members]
+        bic.sort(key=lambda x: (x.bit_count(), x))
+        if require_cu or require_spherical or require_clo_not_lattice:
+            if not bic:
+                continue
+            lat = as_lattice(_containment_poset(tuple(bic)))
+            if not isinstance(lat, Lattice):
+                continue
+            if require_cu or require_clo_not_lattice:
+                cu = is_congruence_uniform(lat)
+                if require_cu and not cu:
+                    continue
+            if require_spherical:
+                if not is_meet_semidistributive(lat):
+                    continue
+                if lat.poset.mobius(lat.bottom, lat.top) == 0:
+                    continue
+            if require_clo_not_lattice:
+                if not cu:
+                    continue
+                if is_clo_lattice(core_label_order(label_covers(lat))):
+                    continue
+        if require_single_step:
+            members_set = set(bic)
+            ok = all(
+                any(x | (1 << e) in members_set for e in bits(y & ~x))
+                for i, x in enumerate(bic)
+                for y in bic[i + 1:]
+                if not (x & ~y or x == y)
+            )
+            if not ok:
+                continue
+        key = canonical_family_key(m, fam)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield operator_from_family(m, key)
+
+
+def relabel_family(fam, perm):
+    return [sum(1 << perm[b] for b in bits(x)) for x in fam]
+
+
+def random_moore_family(rng, m):
+    """A seeded Moore family: random subsets closed under intersection."""
+    full = (1 << m) - 1
+    fam = {full}
+    for x in rng.sample(range(full), rng.randint(0, full)):
+        fam |= {x & y for y in fam}
+    return frozenset(fam)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_moore_stream_order_matches_the_recursive_walk(m):
+    assert list(moore_families(m)) == list(reference_moore_families(m))
+
+
+def test_moore_stream_prefix_on_five_points():
+    n = 40_000
+    assert list(islice(moore_families(5), n)) == list(
+        islice(reference_moore_families(5), n)
+    )
+
+
+def test_family_keys_match_the_permutation_loop():
+    rng = random.Random(61)
+    for m in range(5):
+        for fam in moore_families(m):
+            key = reference_family_key(m, fam)
+            assert canonical_family_key(m, fam) == key
+            perm = list(range(m))
+            rng.shuffle(perm)
+            assert canonical_family_key(m, relabel_family(fam, perm)) == key
+    assert canonical_family_key(3, []) == reference_family_key(3, []) == ()
+
+
+@pytest.mark.parametrize("m, count", [(5, 150), (6, 20), (7, 2)])
+def test_family_keys_match_on_a_seeded_sample(m, count):
+    rng = random.Random(m)
+    for _ in range(count):
+        fam = random_moore_family(rng, m)
+        key = reference_family_key(m, fam)
+        assert canonical_family_key(m, fam) == key
+        perm = list(range(m))
+        rng.shuffle(perm)
+        assert canonical_family_key(m, relabel_family(fam, perm)) == key
+
+
+@pytest.mark.parametrize("flags", list(product((False, True), repeat=4)))
+def test_search_matches_the_per_family_loop(flags):
+    names = ("require_cu", "require_spherical", "require_single_step",
+             "require_clo_not_lattice")
+    for m in range(5):
+        got = [op.table for op in search_problem_6_1(m, **dict(zip(names, flags)))]
+        assert got == [op.table for op in reference_search(m, *flags)]
+
+
+def test_search_filters_each_biclosed_family_once(monkeypatch):
+    fams = []
+    build = biclosed._containment_poset
+
+    def recorded(fam):
+        fams.append(fam)
+        return build(fam)
+
+    monkeypatch.setattr(biclosed, "_containment_poset", recorded)
+    distinct = {
+        frozenset(x for x in fam if 15 ^ x in fam) for fam in moore_families(4)
+    }
+    assert len(distinct) == 122
+    for require_single_step in (True, False):
+        fams.clear()
+        list(search_problem_6_1(4, require_single_step=require_single_step))
+        # Every distinct nonempty biclosed family is built once.
+        assert len(fams) == len(set(fams)) == 121
+
+
+def test_single_step_kernel_is_shared(monkeypatch):
+    calls = []
+    kernel = biclosed._single_step_witness
+
+    def counted(bic):
+        calls.append(tuple(bic))
+        return kernel(bic)
+
+    monkeypatch.setattr(biclosed, "_single_step_witness", counted)
+    op, _ = load_closure("ex61")
+    assert is_single_step(op).witness == (4, 7)
+    assert calls == [biclosed_family(op)]
+    hits = list(search_problem_6_1(4, require_cu=False, require_spherical=False,
+                                   require_clo_not_lattice=False))
+    assert len(hits) == 25 and len(calls) > 1
+
+
+def _recheck61():
+    """bench/recheck61.py: the Problem 6.1 verdicts derived without corelabel."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import recheck61
+    finally:
+        sys.path.remove(bench)
+    return recheck61
+
+
+@pytest.mark.parametrize("name, size", PROBLEM_61_HITS)
+def test_problem_6_1_hits_on_five_points(name, size):
+    op, names = load_closure(name)
+    assert names == ["a", "b", "c", "d", "e"]
+    # The fixture is the operator search61 prints: the canonical relabeling.
+    closed = closed_family(op)
+    assert canonical_family_key(5, closed) == tuple(sorted(closed))
+    p, lat = biclosed_poset(op)
+    assert isinstance(lat, Lattice) and lat.n == size
+    cu = bool(is_congruence_uniform(lat))
+    mu = lat.poset.mobius(lat.bottom, lat.top)
+    spherical = bool(is_meet_semidistributive(lat)) and mu != 0
+    single_step = bool(is_single_step(op))
+    clo_lattice = bool(is_clo_lattice(core_label_order(label_covers(lat))))
+    assert cu and mu == (1 if size == 22 else -1) and spherical and single_step
+    assert not clo_lattice
+    assert _recheck61().verdicts(5, list(op.table)) == {
+        "n": size, "lattice": True, "cu": cu, "spherical": spherical,
+        "single_step": single_step, "clo_lattice": clo_lattice,
+    }
+
+
+def test_problem_6_1_hits_are_pairwise_distinct():
+    keys = {canonical_family_key(5, closed_family(load_closure(name)[0]))
+            for name, _ in PROBLEM_61_HITS}
+    assert len(keys) == len(PROBLEM_61_HITS)

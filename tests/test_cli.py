@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import corelabel
-from corelabel import cli, congruence, lattice
+from corelabel import biclosed, cli, congruence, lattice
+from corelabel.biclosed import MAX_GROUND
 from corelabel.cli import MAX_CONGRUENCES, MAX_ELEMENTS, main
 
 
@@ -327,7 +328,7 @@ def test_fixtures_verify(capsys):
     rc, out, _ = run(capsys, "fixtures", "verify")
     assert rc == 0
     lines = out.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 13
     assert all(line.startswith("ok   ") for line in lines)
     assert lines[0] == "ok   fig1a: not semidistributive, two congruences"
     assert lines[6] == (
@@ -338,7 +339,7 @@ def test_fixtures_verify(capsys):
     got = json.loads(out)
     assert [row["name"] for row in got] == [
         "fig1a", "fig2a", "fig3_right", "fig4", "fig5",
-        "fig7a", "fig8a", "fig9", "fig10a",
+        "fig7a", "fig8a", "fig9", "fig10a", "p61a", "p61b", "p61c", "p61d",
     ]
     assert all(row["ok"] for row in got)
 
@@ -427,6 +428,53 @@ def test_declared_size_above_the_cap_exits_1(
         f"{MAX_ELEMENTS}\n"
     )
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("names", [MAX_GROUND + 1, 10**6])
+def test_closure_ground_set_above_the_cap_exits_1(capsys, tmp_path, monkeypatch, names):
+    # An identity operator: only the ground set's size could cost time or
+    # memory (a 2^m table, 3^m pairs in validate).
+    path = tmp_path / "identity.clo"
+    text = ",".join(f"x{i}" for i in range(names)) + "\n"
+    path.write_text(text)
+
+    def refuse(*args):
+        raise AssertionError("a closure table was built")
+
+    monkeypatch.setattr(biclosed, "ClosureOperator", refuse)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "biclosed", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1 and out == ""
+    assert err == (
+        f"error: more than {MAX_GROUND} ground elements, above the supported "
+        f"maximum {MAX_GROUND}\n"
+    )
+    # The file is read and split into lines; the names are not all kept.
+    assert peak < 4 * len(text) + (1 << 20)
+
+
+def test_search61_refuses_to_key_above_seven_points(capsys):
+    # With every filter skipped the first Moore family on 8 points is a hit,
+    # and keying it would build a 330 MB relabeling table.
+    rc, out, err = run(capsys, "search61", "--m", "8", "--json", "--skip-cu",
+                       "--skip-spherical", "--skip-single-step", "--skip-clo")
+    assert rc == 1 and out == ""
+    assert err == (
+        f"error: ground size 8 above {biclosed.MAX_KEY_GROUND}: the relabeling "
+        "table would hold 2^m * m! lanes\n"
+    )
+
+
+def test_closure_ground_set_at_the_cap_is_read(capsys, tmp_path):
+    path = tmp_path / "identity.clo"
+    path.write_text(",".join("abcdefgh") + "\n")
+    rc, out, _ = run(capsys, "biclosed", "--json", str(path))
+    assert rc == 0
+    assert json.loads(out)["biclosed"] == 1 << MAX_GROUND
 
 
 def test_declared_size_at_the_cap_is_read(capsys, tmp_path):
