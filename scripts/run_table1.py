@@ -1,5 +1,8 @@
 """Run the lattice census row by row with timings.
 
+The census is enumerated once; each row is printed as its size completes,
+with the seconds that size took.
+
 Usage: python scripts/run_table1.py [--max-n N] [--csv PATH]
 """
 
@@ -7,8 +10,7 @@ import argparse
 import sys
 import time
 
-from corelabel import table1
-from corelabel.enumeration import HARD_BOUND
+from corelabel.enumeration import HARD_BOUND, _survey
 
 
 def main() -> int:
@@ -21,10 +23,10 @@ def main() -> int:
 
     print("  n         l       c      s      S    seconds")
     rows = []
-    for n in range(1, args.max_n + 1):
-        start = time.perf_counter()
-        row = table1(n, bound=args.max_n)[-1]
-        elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    for row in _survey(args.max_n):
+        now = time.perf_counter()
+        elapsed, start = now - start, now
         rows.append(row)
         print(
             f"{row.n:3d} {row.lattices:9d} {row.congruence_uniform:7d} "

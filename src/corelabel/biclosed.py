@@ -12,12 +12,11 @@ from .bitsets import bits, mask_of
 from .congruence import is_congruence_uniform
 from .lattice import (
     Lattice,
-    NotALattice,
     Verdict,
     as_lattice,
     is_meet_semidistributive,
 )
-from .poset import FormatError, Poset, from_covers
+from .poset import FormatError, _containment_poset
 
 # Largest ground set a closure file may name.  Reading one builds a table
 # of all 2^m subsets and validating it visits 3^m pairs, so the names are
@@ -91,18 +90,9 @@ def biclosed_family(op: ClosureOperator) -> tuple[int, ...]:
     return tuple(fam)
 
 
-def _containment_poset(fam: tuple[int, ...]) -> Poset:
-    edges = [
-        (i, k)
-        for i in range(len(fam))
-        for k in range(len(fam))
-        if i != k and fam[i] & ~fam[k] == 0
-    ]
-    return from_covers(len(fam), edges)
-
-
 def closed_sets_lattice(op: ClosureOperator) -> Lattice:
     """The lattice of closed sets; element i is closed_family(op)[i]."""
+    # Sorted by (size, value), so a subset comes before its supersets.
     lat = as_lattice(_containment_poset(closed_family(op)))
     assert isinstance(lat, Lattice), "closed sets always form a lattice"
     return lat
@@ -112,11 +102,13 @@ def biclosed_poset(op: ClosureOperator):
     """The containment poset of biclosed sets and its lattice conversion.
 
     Returns (poset, lattice_or_witness); element i is biclosed_family(op)[i].
+    The family is empty when the empty set is not closed; then there is no
+    pair to name and the second value is None.
     """
-    fam = biclosed_family(op)
-    p = _containment_poset(fam)
+    # Sorted by (size, value), so a subset comes before its supersets.
+    p = _containment_poset(biclosed_family(op))
     if p.n == 0:
-        return p, NotALattice("join", (0, 0), ())
+        return p, None
     return p, as_lattice(p)
 
 
@@ -278,6 +270,7 @@ def search_problem_6_1(
         if require_cu or require_spherical or require_clo_not_lattice:
             if not bic:
                 return False
+            # bic is sorted by (size, value): subsets before supersets.
             lat = as_lattice(_containment_poset(tuple(bic)))
             if not isinstance(lat, Lattice):
                 return False

@@ -346,6 +346,8 @@ def _cmd_biclosed(args) -> int:
     if not isinstance(got, Lattice):
         if args.json:
             print(json.dumps(info))
+        elif got is None:
+            print("lattice: no (no biclosed sets)")
         else:
             print(f"lattice: no ({_not_lattice_detail(got)})")
         return 0

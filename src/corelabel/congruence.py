@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .bitsets import highest, lowest, mask_of
 from .lattice import Lattice, Verdict, as_lattice, join_irreducibles
-from .poset import from_covers
+from .poset import Poset, _containment_poset
 
 
 class Congruence:
@@ -196,17 +196,10 @@ def congruence_lattice(lat: Lattice, limit: int | None = None) -> CongruenceLatt
         top = d.bit_length() - 1
         parts.append(_join_partitions(parts[index[d ^ 1 << top]], gens[top]))
     rank = sorted(range(len(parts)), key=lambda k: (-len(set(parts[k])), parts[k]))
-    pos = [0] * len(rank)
-    for r, k in enumerate(rank):
-        pos[k] = r
-    edges = [
-        (pos[k], pos[index[d | 1 << g]])
-        for k, d in enumerate(downsets)
-        for g in range(len(gens))
-        if not d >> g & 1 and below[g] & ~d == 0
-    ]
     congruences = tuple(Congruence(lat, parts[k]) for k in rank)
-    conlat = as_lattice(from_covers(len(rank), edges))
+    # A coarser congruence has fewer classes, so rank order is a linear
+    # extension of Con(L), the containment order on the down-sets.
+    conlat = as_lattice(_containment_poset([downsets[k] for k in rank]))
     assert isinstance(conlat, Lattice), "Con(L) must be a lattice"
     return CongruenceLattice(conlat, congruences)
 
@@ -292,12 +285,13 @@ def quotient(lat: Lattice, theta: Congruence) -> tuple[Lattice, list[int]]:
     classes = theta.classes()
     index = {c[0]: k for k, c in enumerate(classes)}
     proj = [index[theta.cls[i]] for i in range(lat.n)]
-    edges = []
-    for a, ca in enumerate(classes):
-        for b, cb in enumerate(classes):
-            if a != b and lat.poset.leq(ca[0], cb[-1]):
-                edges.append((a, b))
-    q = as_lattice(from_covers(len(classes), edges))
+    # [x] <= [y] iff x <= max [y] (x join y stays in the interval [y]), so
+    # these masks are already the quotient order, transitive and reflexive.
+    up = [
+        mask_of(b for b, cb in enumerate(classes) if lat.poset.leq(ca[0], cb[-1]))
+        for ca in classes
+    ]
+    q = as_lattice(Poset._from_up_masks(len(classes), up))
     assert isinstance(q, Lattice), "quotient of a lattice must be a lattice"
     return q, proj
 

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 from .bitsets import bits, highest, lowest, mask_of
 from .congruence import _cg_classes, is_congruence_uniform
 from .lattice import Lattice, Verdict, atoms, is_crosscut
-from .poset import Poset, from_covers
+from .poset import Poset, _containment_poset
 
 
 class CoverLabeling:
@@ -73,13 +73,9 @@ def nucleus(lat: Lattice, x: int) -> int:
 
 def psi(cl: CoverLabeling, x: int) -> frozenset[int]:
     """Core label set: labels of all covers inside [nucleus(x), x]."""
-    lat = cl.parent
-    core = lat.poset.up[nucleus(lat, x)] & lat.poset.down[x]
-    out = set()
-    for u in bits(core):
-        for v in bits(lat.poset.upper[u] & core):
-            out.add(cl.label[(u, v)])
-    return frozenset(out)
+    p = cl.parent.poset
+    m = _psi_mask(x, p.up, p.down, p.upper, p.lower, cl.jpos, cl.label)
+    return frozenset(cl.jlist[k] for k in bits(m))
 
 
 def gamma(cl: CoverLabeling, x: int) -> frozenset[int]:
@@ -90,42 +86,25 @@ def gamma(cl: CoverLabeling, x: int) -> frozenset[int]:
 def core_label_order(cl: CoverLabeling) -> CoreLabelOrder:
     """The core label order: elements ordered by containment of psi sets."""
     lat = cl.parent
-    masks = []
-    for x in range(lat.n):
-        masks.append(mask_of(cl.jpos[j] for j in psi(cl, x)))
+    p = lat.poset
+    masks = _psi_masks_raw(lat.n, p.up, p.down, p.upper, p.lower, cl.jlist, cl.label)
     assert len(set(masks)) == lat.n, "core label sets must be injective"
-    edges = [
-        (i, k)
-        for i in range(lat.n)
-        for k in range(lat.n)
-        if i != k and masks[i] & ~masks[k] == 0
-    ]
-    return CoreLabelOrder(lat, cl.jlist, masks, from_covers(lat.n, edges))
+    # L's index order is a linear extension of the containment: Psi(x) in
+    # Psi(y) forces x <= y, since every label in Psi(y) lies below y and x
+    # is the join of Gamma(x), a subset of Psi(x).
+    return CoreLabelOrder(lat, cl.jlist, masks, _containment_poset(masks))
 
 
 def is_clo_meet_semilattice(clo: CoreLabelOrder) -> Verdict:
     """Every pair has a greatest lower bound in the core label order."""
-    p = clo.poset
-    for i in range(p.n):
-        for k in range(i + 1, p.n):
-            d = p.down[i] & p.down[k]
-            if not d:
-                return Verdict(False, (i, k))
-            z = highest(d)
-            if d & ~p.down[z]:
-                return Verdict(False, (i, k))
-    return Verdict(True)
+    w = _clo_witness(clo.poset.n, clo.poset.down, False)
+    return Verdict(w is None, w)
 
 
 def is_clo_lattice(clo: CoreLabelOrder) -> Verdict:
     """Meet-semilattice with a greatest element, hence a lattice."""
-    ms = is_clo_meet_semilattice(clo)
-    if not ms:
-        return ms
-    p = clo.poset
-    if p.down[p.n - 1] != (1 << p.n) - 1:
-        return Verdict(False, "no greatest element")
-    return Verdict(True)
+    w = _clo_witness(clo.poset.n, clo.poset.down, True)
+    return Verdict(w is None, w)
 
 
 def has_intersection_property(clo: CoreLabelOrder) -> Verdict:
@@ -150,13 +129,12 @@ def boolean_nexus(cl: CoverLabeling) -> tuple[list[int], Poset]:
     lat = cl.parent
     am = set(atoms(lat))
     members = [x for x in range(lat.n) if gamma(cl, x) <= am]
-    edges = [
-        (a, b)
-        for a, x in enumerate(members)
-        for b, y in enumerate(members)
-        if x != y and lat.poset.leq(x, y)
+    # The members ascend, and L's index order is a linear extension.
+    up = [
+        mask_of(b for b, y in enumerate(members) if lat.poset.leq(x, y))
+        for x in members
     ]
-    return members, from_covers(len(members), edges)
+    return members, Poset._from_up_masks(len(members), up)
 
 
 def crosscut_complex(lat: Lattice, c) -> list[frozenset[int]]:
@@ -240,47 +218,46 @@ def _labels_raw(n: int, up, down, upper, lower):
     return jlist, label
 
 
+def _psi_mask(x: int, up, down, upper, lower, jpos, label) -> int:
+    # Core label set of x as a bitset over positions in jlist: the labels
+    # of the covers inside [nucleus(x), x].  The nucleus, the meet of the
+    # lower covers, is the greatest element below all of them.
+    lc = lower[x]
+    if not lc:
+        return 0
+    common = -1
+    for y in bits(lc):
+        common &= down[y]
+    core = up[highest(common)] & down[x]
+    m = 0
+    for u in bits(core):
+        for v in bits(upper[u] & core):
+            m |= 1 << jpos[label[(u, v)]]
+    return m
+
+
 def _psi_masks_raw(n: int, up, down, upper, lower, jlist, label):
-    # Core label sets as bitsets over positions in jlist.
+    # Core label sets of all elements, as bitsets over positions in jlist.
     jpos = {j: k for k, j in enumerate(jlist)}
-    masks = []
-    for x in range(n):
-        lc = lower[x]
-        if not lc:
-            masks.append(0)
-            continue
-        nuc = -1
-        for y in bits(lc):
-            nuc = y if nuc < 0 else highest(down[nuc] & down[y])
-        core = up[nuc] & down[x]
-        m = 0
-        for u in bits(core):
-            for v in bits(upper[u] & core):
-                m |= 1 << jpos[label[(u, v)]]
-        masks.append(m)
-    return masks
+    return [_psi_mask(x, up, down, upper, lower, jpos, label) for x in range(n)]
+
+
+def _clo_witness(n: int, down, need_top: bool):
+    # An order given by down-sets along a linear extension: the first pair
+    # (i, k) with no greatest common lower bound, then, if need_top, "no
+    # greatest element" when the last element is not above all; else None.
+    for i in range(n):
+        for k in range(i + 1, n):
+            d = down[i] & down[k]
+            if not d or d & ~down[highest(d)]:
+                return (i, k)
+    if need_top and down[n - 1] != (1 << n) - 1:
+        return "no greatest element"
+    return None
 
 
 def _clo_is_lattice_raw(n: int, psi_masks) -> bool:
-    # Containment order on psi bitsets: unique greatest set plus pairwise
-    # meets.  Distinctness of masks is assumed (guaranteed on CU input).
-    full = 0
-    for m in psi_masks:
-        full |= m
-    if full not in psi_masks:
-        return False
-    family = set(psi_masks)
-    downs = []
-    for i in range(n):
-        d = 0
-        for k in range(n):
-            if psi_masks[k] & ~psi_masks[i] == 0:
-                d |= 1 << k
-        downs.append(d)
-    for i in range(n):
-        for k in range(i + 1, n):
-            d = downs[i] & downs[k]
-            z = highest(d)
-            if d & ~downs[z]:
-                return False
-    return True
+    # Is the core label order a lattice?  On CU input the psi_masks are
+    # distinct, and L's index order extends their containment (see
+    # core_label_order).
+    return _clo_witness(n, _containment_poset(psi_masks).down, True) is None

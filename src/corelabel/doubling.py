@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .bitsets import bits, mask_of
 from .canon import canonical_key_poset
 from .lattice import Lattice, NotALattice, as_lattice
-from .poset import FormatError, Poset, from_covers
+from .poset import FormatError, Poset
 
 
 @dataclass
@@ -35,14 +35,11 @@ def double(p: Poset, members: Iterable[int]) -> tuple[Poset, tuple[tuple[int, in
     ground += [(x, 1) for x in bits((full & ~below) | imask)]
     # (bit, index) sorting is a linear extension of the componentwise order.
     ground.sort(key=lambda e: (e[1], e[0]))
-    pos = {e: k for k, e in enumerate(ground)}
-    edges = []
-    for (x, a), k in pos.items():
-        for (y, b), m in pos.items():
-            if k != m and a <= b and p.leq(x, y):
-                edges.append((k, m))
-    doubled = from_covers(len(ground), edges)
-    return doubled, tuple(ground)
+    up = [
+        mask_of(k for k, (y, b) in enumerate(ground) if a <= b and p.leq(x, y))
+        for x, a in ground
+    ]
+    return Poset._from_up_masks(len(ground), up), tuple(ground)
 
 
 def double_interval(lat: Lattice, a: int, b: int) -> Lattice:
@@ -102,7 +99,7 @@ def run_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[DoublingScript, Lat
 
 def singleton_lattice() -> Lattice:
     """The one-element lattice."""
-    res = as_lattice(from_covers(1, []))
+    res = as_lattice(Poset._from_up_masks(1, [1]))
     assert isinstance(res, Lattice)
     return res
 

@@ -10,7 +10,7 @@ from .canon import canonical_key
 from .congruence import _cu_witness
 from .core_label import _clo_is_lattice_raw, _labels_raw, _psi_masks_raw
 from .lattice import Lattice, _sd_witness, as_lattice
-from .poset import Poset
+from .poset import Poset, _cover_reduction
 
 DEFAULT_BOUND = 12
 HARD_BOUND = 14
@@ -92,6 +92,8 @@ def _children(ups: tuple[int, ...]) -> Iterator[int]:
 def _materialize(ups: tuple[int, ...]):
     # Reindex a semilattice state as lattice arrays with a fresh bottom:
     # semilattice element i becomes lattice element m - i, bottom is 0.
+    # Strict upper bounds have smaller semilattice indices, so the lattice
+    # index order is a linear extension.
     m = len(ups)
     n = m + 1
     up = [0] * n
@@ -101,22 +103,7 @@ def _materialize(ups: tuple[int, ...]):
             lifted |= 1 << (m - b)
         up[m - i] = lifted
     up[0] = (1 << n) - 1
-    down = [0] * n
-    for v in range(n):
-        for w in bits(up[v]):
-            down[w] |= 1 << v
-    upper = [0] * n
-    for v in range(n):
-        strict = up[v] & ~(1 << v)
-        cov = strict
-        for w in bits(strict):
-            cov &= ~(up[w] & ~(1 << w))
-        upper[v] = cov
-    lower = [0] * n
-    for v in range(n):
-        for w in bits(upper[v]):
-            lower[w] |= 1 << v
-    return n, up, down, upper, lower
+    return (n, up, *_cover_reduction(n, up))
 
 
 def _iter_lattice_arrays(max_n: int) -> Iterator[tuple]:
@@ -157,7 +144,7 @@ def enumerate_lattices(n: int, *, bound: int = DEFAULT_BOUND) -> Iterator[Lattic
     for size, up, down, upper, lower in _iter_lattice_arrays(n):
         if size != n:
             continue
-        lat = as_lattice(Poset._from_up_masks(size, list(up)))
+        lat = as_lattice(Poset(size, up, down, upper, lower))
         assert isinstance(lat, Lattice)
         yield lat
 
@@ -165,11 +152,15 @@ def enumerate_lattices(n: int, *, bound: int = DEFAULT_BOUND) -> Iterator[Lattic
 def _survey(
     max_n: int,
     on_failure: Callable[[int, tuple], None] | None = None,
-) -> list[CountsRow]:
-    stats = {n: [0, 0, 0, 0] for n in range(1, max_n + 1)}
+) -> Iterator[CountsRow]:
+    # Yields each size's row once the stream has moved past that size.  The
+    # stream's sizes ascend with no gap (there is a chain of every size).
+    size, row = 1, [0, 0, 0, 0]
     for arrays in _iter_lattice_arrays(max_n):
         n, up, down, upper, lower = arrays
-        row = stats[n]
+        if n != size:
+            yield CountsRow(size, *row)
+            size, row = n, [0, 0, 0, 0]
         row[0] += 1
         joins = sum(1 for v in range(n) if lower[v].bit_count() == 1)
         meets = sum(1 for v in range(n) if upper[v].bit_count() == 1)
@@ -196,14 +187,14 @@ def _survey(
             row[3] += 1
         elif on_failure is not None:
             on_failure(n, arrays)
-    return [CountsRow(n, *stats[n]) for n in range(1, max_n + 1)]
+    yield CountsRow(size, *row)
 
 
 def table1(max_n: int, *, bound: int = DEFAULT_BOUND) -> list[CountsRow]:
     """Counts of lattices, congruence-uniform ones, spherical ones among
     those, and spherical ones with a lattice core label order, per size."""
     _check_bound(max_n, bound)
-    return _survey(max_n)
+    return list(_survey(max_n))
 
 
 def smallest_counterexample_scan(
@@ -221,5 +212,6 @@ def smallest_counterexample_scan(
         )
         failures.append(ScanFailure(n, canonical_key(size, upper, lower), covers))
 
-    _survey(max_n, on_failure=record)
+    for _ in _survey(max_n, on_failure=record):
+        pass
     return ScanReport(max_n, tuple(failures))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import bits, highest, lowest, mask_of
+from .bitsets import bits, highest, lowest
 from .poset import Poset
 
 

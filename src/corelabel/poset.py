@@ -31,37 +31,26 @@ class Poset:
 
     __slots__ = ("n", "covers", "up", "down", "upper", "lower", "_mu")
 
-    def __init__(self, n, covers, up, down, upper, lower):
+    def __init__(self, n, up, down, upper, lower):
         self.n = n
-        self.covers = covers  # sorted tuple of (u, v) cover pairs
         self.up = up          # up[i]: bitset of j with i <= j
         self.down = down      # down[i]: bitset of j with j <= i
         self.upper = upper    # upper[i]: bitset of upper covers of i
         self.lower = lower    # lower[i]: bitset of lower covers of i
+        # sorted tuple of (u, v) cover pairs
+        self.covers = tuple((u, v) for u in range(n) for v in bits(upper[u]))
         self._mu = {}
 
     @classmethod
     def _from_up_masks(cls, n: int, up: list[int]) -> "Poset":
-        # Trusted path: up must be the reflexive closure of a DAG in
-        # linear-extension indexing (up[i] has no bits below i).
-        down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-        upper = [0] * n
-        lower = [0] * n
-        for i in range(n):
-            strict = up[i] ^ (1 << i)
-            shadow = 0
-            for j in bits(strict):
-                shadow |= up[j] ^ (1 << j)
-            upper[i] = strict & ~shadow
-            for j in bits(upper[i]):
-                lower[j] |= 1 << i
-        covers = tuple(
-            (u, v) for u in range(n) for v in bits(upper[u])
-        )
-        return cls(n, covers, up, down, upper, lower)
+        """The trusted builder: nothing is checked.
+
+        up[i] must be the reflexive up-set of i in a partial order whose
+        index order is a linear extension, so up[i] has no bit below i.
+        Code that already holds such masks builds here; from_covers is the
+        entry point for outside input.
+        """
+        return cls(n, up, *_cover_reduction(n, up))
 
     def __eq__(self, other):
         return (
@@ -150,12 +139,51 @@ class Poset:
         return True
 
 
+def _cover_reduction(n: int, up: list[int]) -> tuple[list[int], list[int], list[int]]:
+    # Down-sets, upper covers and lower covers from reflexive up-sets indexed
+    # along a linear extension.  The least element of i's strict up-set that
+    # lies above no cover found so far is the next upper cover of i.  When i
+    # is reached its lower covers are all known, and its down-set is the
+    # union of theirs.
+    down = [0] * n
+    upper = [0] * n
+    lower = [0] * n
+    for i in range(n):
+        bit = 1 << i
+        d = bit
+        for j in bits(lower[i]):
+            d |= down[j]
+        down[i] = d
+        rest = up[i] ^ bit
+        cov = 0
+        while rest:
+            low = rest & -rest
+            cov |= low
+            j = low.bit_length() - 1
+            lower[j] |= bit
+            rest &= ~up[j]
+        upper[i] = cov
+    return down, upper, lower
+
+
+def _containment_poset(masks) -> Poset:
+    # The containment order on distinct bitsets listed along a linear
+    # extension of it (a subset never comes after a superset).  Trusted like
+    # Poset._from_up_masks: neither condition is checked.
+    n = len(masks)
+    return Poset._from_up_masks(n, [
+        mask_of(k for k in range(i, n) if a & ~masks[k] == 0)
+        for i, a in enumerate(masks)
+    ])
+
+
 def from_covers(n: int, edges: Iterable[tuple[int, int]]) -> Poset:
     """Build the poset whose order is the transitive closure of the edges.
 
-    Edges are reduced to covers and elements are relabeled to a linear
-    extension if needed (relabeling is the identity when the input already
-    is one).  Raises CycleError with a witness on cyclic input.
+    The validating entry point, for outside input: edges are checked,
+    reduced to covers, and elements are relabeled to a linear extension if
+    needed (relabeling is the identity when the input already is one).
+    Raises CycleError with a witness on cyclic input.
     """
     if n < 0:
         raise ValueError("element count must be nonnegative")

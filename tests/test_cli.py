@@ -283,6 +283,26 @@ def test_biclosed_tests_uniformity_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_biclosed_empty_family_names_no_pair(capsys, tmp_path):
+    # cl({}) = {a}, so the empty set is not closed and no set is biclosed.
+    path = tmp_path / "empty.clo"
+    path.write_text("a,b\n{} -> a\nb -> a,b\n")
+    rc, out, err = run(capsys, "biclosed", str(path))
+    assert rc == 0 and err == ""
+    assert out.splitlines() == [
+        "ground: a,b (2 elements)",
+        "closed sets: 2",
+        "biclosed sets: 0",
+        "biclosed family: ",
+        "lattice: no (no biclosed sets)",
+    ]
+    rc, out, _ = run(capsys, "biclosed", "--json", str(path))
+    assert rc == 0
+    assert json.loads(out) == {
+        "ground": ["a", "b"], "closed": 2, "biclosed": 0, "lattice": False,
+    }
+
+
 def test_table1_golden(capsys):
     rc, out, _ = run(capsys, "table1", "--max-n", "5")
     assert rc == 0

@@ -15,6 +15,7 @@ from corelabel import (
     smallest_counterexample_scan,
     table1,
 )
+from corelabel import enumeration
 from corelabel.enumeration import HARD_BOUND
 from corelabel.fixtures import load_lattice
 
@@ -88,20 +89,41 @@ def test_bound_guards():
     assert list(enumerate_lattices(1, bound=HARD_BOUND))
 
 
+# table1(7) as CSV rows n,l,c,s,S.
+TABLE1_SEVEN = [
+    "1,1,1,1,1",
+    "2,1,1,1,1",
+    "3,1,1,0,0",
+    "4,2,2,1,1",
+    "5,5,4,1,1",
+    "6,15,9,2,2",
+    "7,53,22,3,3",
+]
+
+
 def test_census_table_golden():
     rows = table1(7)
-    assert [r.csv() for r in rows] == [
-        "1,1,1,1,1",
-        "2,1,1,1,1",
-        "3,1,1,0,0",
-        "4,2,2,1,1",
-        "5,5,4,1,1",
-        "6,15,9,2,2",
-        "7,53,22,3,3",
-    ]
+    assert [r.csv() for r in rows] == TABLE1_SEVEN
     for r in rows:
         assert r.spherical_clo_lattice <= r.spherical_cu
         assert r.spherical_cu <= r.congruence_uniform <= r.lattices
+
+
+def test_survey_yields_each_row_once_its_size_completes(monkeypatch):
+    stream = enumeration._iter_lattice_arrays
+    sizes = []
+
+    def recorded(max_n):
+        for arrays in stream(max_n):
+            sizes.append(arrays[0])
+            yield arrays
+
+    monkeypatch.setattr(enumeration, "_iter_lattice_arrays", recorded)
+    rows = enumeration._survey(9)
+    assert [next(rows).csv() for _ in range(7)] == TABLE1_SEVEN
+    # Row 7 is complete at the first 8-element lattice, before any of 9.
+    assert max(sizes) == 8 and sizes.count(8) == 1
+    assert [r.csv() for r in rows] == ["8,222,60,8,8", "9,1078,174,17,16"]
 
 
 def test_scan_finds_the_nine_element_counterexample():
