@@ -10,9 +10,11 @@ from math import factorial
 
 from .bitsets import bits, mask_of
 from .congruence import is_congruence_uniform
+from .core_label import _clo_is_lattice_raw, _labels_raw, _psi_masks_raw
 from .lattice import (
     Lattice,
     Verdict,
+    _spherical_raw,
     as_lattice,
     is_meet_semidistributive,
 )
@@ -215,6 +217,14 @@ def _relabel_table(m: int) -> tuple[tuple[int, ...], int]:
     return rows, width
 
 
+def _check_key_ground(m: int) -> None:
+    if m > MAX_KEY_GROUND:
+        raise ValueError(
+            f"ground size {m} above {MAX_KEY_GROUND}: the relabeling table "
+            "would hold 2^m * m! lanes"
+        )
+
+
 def canonical_family_key(m: int, fam: Iterable[int]) -> tuple[int, ...]:
     """Least relabeling of a set family under ground-set permutations.
 
@@ -229,11 +239,7 @@ def canonical_family_key(m: int, fam: Iterable[int]) -> tuple[int, ...]:
     as bytes.  A member listed twice counts once.  Ground sets above
     MAX_KEY_GROUND points are refused.
     """
-    if m > MAX_KEY_GROUND:
-        raise ValueError(
-            f"ground size {m} above {MAX_KEY_GROUND}: the relabeling table "
-            "would hold 2^m * m! lanes"
-        )
+    _check_key_ground(m)
     rows, width = _relabel_table(m)
     packed = 0
     for f in fam:
@@ -260,11 +266,12 @@ def search_problem_6_1(
     An exhausted stream with no hits is a verified-empty result.  Every
     filter reads only the biclosed family, so its verdict is computed once
     per distinct family; the canonical key, which deduplicates the hits,
-    is computed only for Moore families that pass.
+    is computed only for Moore families that pass.  Ground sets that
+    canonical_family_key refuses are refused before the walk starts.
     """
     if m > bound:
         raise ValueError(f"ground size {m} above bound {bound}; raise bound explicitly")
-    from .core_label import _clo_is_lattice_raw, _labels_raw, _psi_masks_raw
+    _check_key_ground(m)
 
     def passes(bic: list[int]) -> bool:
         if require_cu or require_spherical or require_clo_not_lattice:
@@ -279,7 +286,7 @@ def search_problem_6_1(
             if require_spherical:
                 if not is_meet_semidistributive(lat):
                     return False
-                if lat.poset.mobius(lat.bottom, lat.top) == 0:
+                if not _spherical_raw(lat.poset.up, lat.poset.upper):
                     return False
             if require_clo_not_lattice:
                 p = lat.poset

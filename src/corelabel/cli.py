@@ -34,6 +34,7 @@ from .enumeration import DEFAULT_BOUND, HARD_BOUND, table1
 from .fixtures import verify as verify_fixtures
 from .lattice import (
     Lattice,
+    _spherical_raw,
     as_lattice,
     atoms,
     coatoms,
@@ -108,6 +109,11 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _spherical_text(spherical) -> str:
+    # None: sphericity is defined only on meet-semidistributive lattices.
+    return "n/a (not meet-semidistributive)" if spherical is None else _yn(spherical)
+
+
 def _fmt_set(xs) -> str:
     return "{" + ",".join(str(x) for x in sorted(xs)) + "}"
 
@@ -151,6 +157,7 @@ def _cmd_check(args) -> int:
         sd = jsd and msd
         cu = is_congruence_uniform(lat)
         mu = p.mobius(lat.bottom, lat.top)
+        spherical = _spherical_raw(p.up, p.upper) if msd else None
         if args.json:
             print(
                 json.dumps(
@@ -159,20 +166,19 @@ def _cmd_check(args) -> int:
                         "semidistributive": bool(sd),
                         "congruence_uniform": bool(cu),
                         "mu": mu,
-                        "spherical": None if not msd else mu != 0,
+                        "spherical": spherical,
                         "atoms": len(atoms(lat)),
                         "coatoms": len(coatoms(lat)),
                     }
                 )
             )
             return 0
-        spherical = "n/a (not meet-semidistributive)" if not msd else _yn(mu != 0)
         print(
             f"lattice: yes; semidistributive: {_yn(bool(sd))}; "
             f"congruence-uniform: {_yn(bool(cu))}; mu: {mu}"
         )
         print(
-            f"spherical: {spherical}; atoms: {len(atoms(lat))}; "
+            f"spherical: {_spherical_text(spherical)}; atoms: {len(atoms(lat))}; "
             f"coatoms: {len(coatoms(lat))}"
         )
         return 0
@@ -353,13 +359,13 @@ def _cmd_biclosed(args) -> int:
         return 0
     lat = got
     cu = is_congruence_uniform(lat)
-    mu = lat.poset.mobius(lat.bottom, lat.top)
     msd = is_meet_semidistributive(lat)
+    spherical = _spherical_raw(lat.poset.up, lat.poset.upper) if msd else None
     ss = is_single_step(op)
     info.update(
         {
             "congruence_uniform": bool(cu),
-            "spherical": None if not msd else mu != 0,
+            "spherical": spherical,
             "single_step": bool(ss),
         }
     )
@@ -370,10 +376,9 @@ def _cmd_biclosed(args) -> int:
     if args.json:
         print(json.dumps(info))
     else:
-        spherical = "n/a (not meet-semidistributive)" if not msd else _yn(mu != 0)
         print("lattice: yes")
         print(f"congruence-uniform: {_yn(bool(cu))}")
-        print(f"spherical: {spherical}")
+        print(f"spherical: {_spherical_text(spherical)}")
         if ss:
             print("single-step: yes")
         else:

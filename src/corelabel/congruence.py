@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import highest, lowest, mask_of
-from .lattice import Lattice, Verdict, as_lattice, join_irreducibles
+from .lattice import (
+    Lattice,
+    Verdict,
+    _irreducibles,
+    _require_elements,
+    as_lattice,
+    join_irreducibles,
+)
 from .poset import Poset, _containment_poset
 
 
@@ -92,6 +99,7 @@ def _validate_congruence(lat: Lattice, cls: tuple[int, ...]) -> None:
 
 def cg(lat: Lattice, x: int, y: int) -> Congruence:
     """Finest congruence collapsing the cover x covered-by y."""
+    _require_elements(lat, x, y)
     if not lat.poset.upper[x] >> y & 1:
         if lat.poset.upper[y] >> x & 1:
             x, y = y, x
@@ -103,10 +111,9 @@ def cg(lat: Lattice, x: int, y: int) -> Congruence:
 
 def cg_join_irreducible(lat: Lattice, j: int) -> Congruence:
     """cg(j) = cg(j_star, j) for a join-irreducible j."""
-    lc = lat.poset.lower[j]
-    if not lc or lc & (lc - 1):
+    if j not in _irreducibles(lat.poset.lower):
         raise ValueError(f"{j} is not join-irreducible")
-    return cg(lat, lowest(lc), j)
+    return cg(lat, lowest(lat.poset.lower[j]), j)
 
 
 def _cg_classes(n: int, up, down, seed_pairs) -> tuple[int, ...]:
@@ -255,14 +262,12 @@ def _cu_witness(n: int, up, down, upper, lower):
     # partitions, so the meet side closes covers (m, unique upper cover)
     # directly in L.
     seen: dict[tuple[int, ...], int] = {}
-    for j in range(n):
-        lc = lower[j]
-        if lc and lc & (lc - 1) == 0:
-            arr = _cg_classes(n, up, down, ((lowest(lc), j),))
-            if arr in seen:
-                return ("join", seen[arr], j)
-            seen[arr] = j
-    meets = [m for m in range(n) if upper[m] and upper[m] & (upper[m] - 1) == 0]
+    for j in _irreducibles(lower):
+        arr = _cg_classes(n, up, down, ((lowest(lower[j]), j),))
+        if arr in seen:
+            return ("join", seen[arr], j)
+        seen[arr] = j
+    meets = _irreducibles(upper)
     if len(meets) == len(seen):
         return None
     seen = {}

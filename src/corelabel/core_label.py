@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .bitsets import bits, highest, lowest, mask_of
+from .bitsets import bits, highest
 from .congruence import _cg_classes, is_congruence_uniform
-from .lattice import Lattice, Verdict, atoms, is_crosscut
-from .poset import Poset, _containment_poset
+from .lattice import Lattice, Verdict, _cover_label, _irreducibles, atoms, is_crosscut
+from .poset import Poset, _containment_poset, _restrict
 
 
 class CoverLabeling:
@@ -54,21 +54,13 @@ def _label_cu(lat: Lattice) -> CoverLabeling:
     # label_covers without the uniformity test, for callers that hold a
     # passing is_congruence_uniform verdict for lat.
     p = lat.poset
-    got = _labels_raw(lat.n, p.up, p.down, p.upper, p.lower)
-    assert got is not None, "a congruence-uniform lattice must label uniquely"
-    jlist, label = got
+    jlist, label = _labels_raw(lat.n, p.up, p.down, p.upper, p.lower)
     return CoverLabeling(lat, jlist, label)
 
 
 def nucleus(lat: Lattice, x: int) -> int:
     """Meet of all lower covers of x; the bottom is its own nucleus."""
-    lc = lat.poset.lower[x]
-    if not lc:
-        return x
-    out = -1
-    for y in bits(lc):
-        out = y if out < 0 else lat.meet[out][y]
-    return out
+    return _nucleus(lat.poset.down, lat.poset.lower, x)
 
 
 def psi(cl: CoverLabeling, x: int) -> frozenset[int]:
@@ -130,11 +122,7 @@ def boolean_nexus(cl: CoverLabeling) -> tuple[list[int], Poset]:
     am = set(atoms(lat))
     members = [x for x in range(lat.n) if gamma(cl, x) <= am]
     # The members ascend, and L's index order is a linear extension.
-    up = [
-        mask_of(b for b, y in enumerate(members) if lat.poset.leq(x, y))
-        for x in members
-    ]
-    return members, Poset._from_up_masks(len(members), up)
+    return members, Poset._from_up_masks(len(members), _restrict(lat.poset.up, members))
 
 
 def crosscut_complex(lat: Lattice, c) -> list[frozenset[int]]:
@@ -191,44 +179,31 @@ def check_swap_lemma(lat: Lattice, y: int, covers) -> list[int]:
 # Kernels shared with the enumeration stream.
 
 def _labels_raw(n: int, up, down, upper, lower):
-    # Perspectivity labels for a known-CU lattice given raw arrays.
-    # Returns (jlist, label dict) or None if some cover lacks a unique label.
-    jlist = []
-    jstar = {}
-    for j in range(n):
-        lc = lower[j]
-        if lc and lc & (lc - 1) == 0:
-            jlist.append(j)
-            jstar[j] = lowest(lc)
-    label = {}
-    for u in range(n):
-        for v in bits(upper[u]):
-            hit = -1
-            for j in jlist:
-                if (
-                    lowest(up[j] & up[u]) == v
-                    and highest(down[j] & down[u]) == jstar[j]
-                ):
-                    if hit >= 0:
-                        return None
-                    hit = j
-            if hit < 0:
-                return None
-            label[(u, v)] = hit
-    return jlist, label
+    # Perspectivity labels of a congruence-uniform lattice given raw arrays:
+    # (jlist, label dict), the label of the cover u -< v being the least
+    # element of down(v) minus down(u) (see lattice._cover_label).
+    label = {
+        (u, v): _cover_label(up, down, u, v) for u in range(n) for v in bits(upper[u])
+    }
+    return _irreducibles(lower), label
+
+
+def _nucleus(down, lower, x: int) -> int:
+    # The meet of the lower covers of x, the greatest element below all of
+    # them; x itself when it has none.
+    lc = lower[x]
+    if not lc:
+        return x
+    common = -1
+    for y in bits(lc):
+        common &= down[y]
+    return highest(common)
 
 
 def _psi_mask(x: int, up, down, upper, lower, jpos, label) -> int:
     # Core label set of x as a bitset over positions in jlist: the labels
-    # of the covers inside [nucleus(x), x].  The nucleus, the meet of the
-    # lower covers, is the greatest element below all of them.
-    lc = lower[x]
-    if not lc:
-        return 0
-    common = -1
-    for y in bits(lc):
-        common &= down[y]
-    core = up[highest(common)] & down[x]
+    # of the covers inside [nucleus(x), x].
+    core = up[_nucleus(down, lower, x)] & down[x]
     m = 0
     for u in bits(core):
         for v in bits(upper[u] & core):

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 from .bitsets import bits, mask_of
 from .canon import canonical_key_poset
-from .lattice import Lattice, NotALattice, as_lattice
-from .poset import FormatError, Poset
+from .lattice import Lattice, NotALattice, _require_elements, as_lattice
+from .poset import FormatError, Poset, _restrict
 
 
 @dataclass
@@ -26,24 +26,24 @@ def double(p: Poset, members: Iterable[int]) -> tuple[Poset, tuple[tuple[int, in
     provenance map: new index -> (original element, bit).  The result need
     not be a lattice; callers check.
     """
+    n = p.n
     imask = mask_of(members)
     below = 0
     for y in bits(imask):
         below |= p.down[y]
-    ground = [(x, 0) for x in bits(below)]
-    full = (1 << p.n) - 1
-    ground += [(x, 1) for x in bits((full & ~below) | imask)]
-    # (bit, index) sorting is a linear extension of the componentwise order.
-    ground.sort(key=lambda e: (e[1], e[0]))
-    up = [
-        mask_of(k for k, (y, b) in enumerate(ground) if a <= b and p.leq(x, y))
-        for x, a in ground
-    ]
-    return Poset._from_up_masks(len(ground), up), tuple(ground)
+    full = (1 << n) - 1
+    # The doubled poset is a suborder of P x 2, with (x, a) numbered x + a*n.
+    # That numbering is the (bit, index) order, a linear extension of the
+    # componentwise order.
+    product = [u | u << n for u in p.up] + [u << n for u in p.up]
+    elems = list(bits(below | ((full & ~below) | imask) << n))
+    ground = tuple((e % n, e // n) for e in elems)
+    return Poset._from_up_masks(len(elems), _restrict(product, elems)), ground
 
 
 def double_interval(lat: Lattice, a: int, b: int) -> Lattice:
     """Double by the interval [a, b]; the result is always a lattice."""
+    _require_elements(lat, a, b)
     if not lat.poset.leq(a, b):
         raise ValueError(f"not an interval: {a} is not below {b}")
     interval = lat.poset.up[a] & lat.poset.down[b]

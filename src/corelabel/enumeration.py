@@ -5,11 +5,11 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .bitsets import bits, lowest
+from .bitsets import bits
 from .canon import canonical_key
 from .congruence import _cu_witness
 from .core_label import _clo_is_lattice_raw, _labels_raw, _psi_masks_raw
-from .lattice import Lattice, _sd_witness, as_lattice
+from .lattice import Lattice, _irreducibles, _sd_witness, _spherical_raw, as_lattice
 from .poset import Poset, _cover_reduction
 
 DEFAULT_BOUND = 12
@@ -162,9 +162,7 @@ def _survey(
             yield CountsRow(size, *row)
             size, row = n, [0, 0, 0, 0]
         row[0] += 1
-        joins = sum(1 for v in range(n) if lower[v].bit_count() == 1)
-        meets = sum(1 for v in range(n) if upper[v].bit_count() == 1)
-        if joins != meets:
+        if len(_irreducibles(lower)) != len(_irreducibles(upper)):
             continue
         if _sd_witness(n, up, down, False) is not None:
             continue
@@ -173,15 +171,10 @@ def _survey(
         if _cu_witness(n, up, down, upper, lower) is not None:
             continue
         row[1] += 1
-        common = (1 << n) - 1
-        for a in bits(upper[0]):
-            common &= up[a]
-        if lowest(common) != n - 1:
+        if not _spherical_raw(up, upper):
             continue
         row[2] += 1
-        got = _labels_raw(n, up, down, upper, lower)
-        assert got is not None
-        jlist, label = got
+        jlist, label = _labels_raw(n, up, down, upper, lower)
         masks = _psi_masks_raw(n, up, down, upper, lower, jlist, label)
         if _clo_is_lattice_raw(n, masks):
             row[3] += 1

@@ -16,7 +16,13 @@ from .canon import are_isomorphic
 from .congruence import cg_join_irreducible, congruence_lattice, is_congruence_uniform
 from .core_label import boolean_defect, core_label_order, is_clo_lattice, label_covers
 from .doubling import double, double_interval, read_script, run_intervals
-from .lattice import Lattice, as_lattice, is_meet_semidistributive, is_semidistributive
+from .lattice import (
+    Lattice,
+    as_lattice,
+    is_meet_semidistributive,
+    is_semidistributive,
+    is_spherical,
+)
 from .poset import Poset, read_poset_text
 
 POSET_NAMES = (
@@ -133,7 +139,7 @@ def verify() -> list[FixtureCheck]:
     cl8 = label_covers(fig8a)
     check(
         "fig8a",
-        fig8a.poset.mobius(fig8a.bottom, fig8a.top) != 0
+        is_spherical(fig8a)
         and boolean_defect(cl8) == 3
         and not is_clo_lattice(core_label_order(cl8)),
         "spherical, boolean defect three, core label order not a lattice",
@@ -158,7 +164,7 @@ def verify() -> list[FixtureCheck]:
         and are_isomorphic(bic_poset, fig10a.poset)
         and are_isomorphic(fig10a.poset, redoubled.poset)
         and bool(is_congruence_uniform(fig10a))
-        and fig10a.poset.mobius(fig10a.bottom, fig10a.top) != 0
+        and is_spherical(fig10a)
         and not is_clo_lattice(core_label_order(label_covers(fig10a)))
         and not ss
         and ss.witness == (4, 7),
@@ -173,7 +179,7 @@ def verify() -> list[FixtureCheck]:
             isinstance(lat, Lattice)
             and lat.n == size
             and bool(is_congruence_uniform(lat))
-            and lat.poset.mobius(lat.bottom, lat.top) != 0
+            and is_spherical(lat)
             and bool(is_single_step(op))
             and not is_clo_lattice(core_label_order(label_covers(lat))),
             f"{size} biclosed sets: congruence-uniform, spherical, single-step, "

@@ -101,22 +101,14 @@ def as_lattice(p: Poset):
 
 def join_irreducibles(lat: Lattice) -> list[JoinIrreducibleIndex]:
     """Elements with exactly one lower cover, with that cover."""
-    out = []
-    for j in range(lat.n):
-        lc = lat.poset.lower[j]
-        if lc and lc & (lc - 1) == 0:
-            out.append(JoinIrreducibleIndex(j, lowest(lc)))
-    return out
+    lower = lat.poset.lower
+    return [JoinIrreducibleIndex(j, lowest(lower[j])) for j in _irreducibles(lower)]
 
 
 def meet_irreducibles(lat: Lattice) -> list[JoinIrreducibleIndex]:
     """Elements with exactly one upper cover (join-irreducibles of the dual)."""
-    out = []
-    for m in range(lat.n):
-        uc = lat.poset.upper[m]
-        if uc and uc & (uc - 1) == 0:
-            out.append(JoinIrreducibleIndex(m, lowest(uc)))
-    return out
+    upper = lat.poset.upper
+    return [JoinIrreducibleIndex(m, lowest(upper[m])) for m in _irreducibles(upper)]
 
 
 def atoms(lat: Lattice) -> list[int]:
@@ -152,49 +144,15 @@ def is_semidistributive(lat: Lattice) -> Verdict:
 def canonical_join_representation(lat: Lattice, x: int):
     """The unique irredundant join representation of x refining all others.
 
-    Returns a frozenset of element indices, or None when no canonical
-    representation exists (allowed on non-join-semidistributive input).
+    Read off the lower covers: it is the set of labels of the covers
+    y -< x, each the least element of down(x) minus down(y).  Returns a
+    frozenset of element indices, or None when some cover has no such
+    least element; then x has no canonical representation (allowed on
+    non-join-semidistributive input).
     """
-    if x == lat.bottom:
-        return frozenset()
-    reps = _irredundant_reps(lat, x)
-    for r in reps:
-        if all(_refines(lat, r, s) for s in reps):
-            return frozenset(r)
-    return None
-
-
-def _irredundant_reps(lat: Lattice, x: int) -> list[tuple[int, ...]]:
-    below = [y for y in bits(lat.poset.down[x]) if y != lat.bottom]
-    join = lat.join
-    out = []
-
-    def extend(start: int, chosen: tuple[int, ...], value: int) -> None:
-        if value == x:
-            for drop in range(len(chosen)):
-                rest = chosen[:drop] + chosen[drop + 1:]
-                v = lat.bottom
-                for c in rest:
-                    v = join[v][c]
-                if v == x:
-                    return
-            out.append(chosen)
-            return
-        for k in range(start, len(below)):
-            y = below[k]
-            comparable = any(
-                lat.poset.leq(y, c) or lat.poset.leq(c, y) for c in chosen
-            )
-            if comparable:
-                continue
-            extend(k + 1, chosen + (y,), join[value][y])
-
-    extend(0, (), lat.bottom)
-    return out
-
-
-def _refines(lat: Lattice, a, b) -> bool:
-    return all(any(lat.poset.leq(x, y) for y in b) for x in a)
+    p = lat.poset
+    got = frozenset(_cover_label(p.up, p.down, y, x) for y in bits(p.lower[x]))
+    return None if -1 in got else got
 
 
 def is_atomic(lat: Lattice) -> bool:
@@ -240,17 +198,59 @@ def crosscut_mobius(lat: Lattice, c) -> int:
 
 
 def is_spherical(lat: Lattice) -> bool:
-    """Sphericity via mu(0-hat, 1-hat) != 0; meet-semidistributive input only."""
+    """Sphericity, mu(0-hat, 1-hat) != 0, decided as: the atoms join to
+    1-hat.  The two agree on meet-semidistributive input, the only input
+    accepted (see _spherical_raw)."""
     msd = is_meet_semidistributive(lat)
     if not msd:
         raise ValueError(
             f"sphericity test needs a meet-semidistributive lattice; "
             f"witness {msd.witness}"
         )
-    return lat.poset.mobius(lat.bottom, lat.top) != 0
+    return _spherical_raw(lat.poset.up, lat.poset.upper)
+
+
+def _require_elements(lat: Lattice, *xs: int) -> None:
+    # Element arguments from outside: a negative index would wrap.
+    for x in xs:
+        if not 0 <= x < lat.n:
+            raise ValueError(f"element {x} out of range for n={lat.n}")
 
 
 # Kernels on raw bitset arrays, shared with the enumeration stream.
+
+def _irreducibles(covers: list[int]) -> list[int]:
+    # Elements with exactly one cover in the given array: join-irreducibles
+    # for lower covers, meet-irreducibles for upper covers.
+    return [v for v, c in enumerate(covers) if c and not c & (c - 1)]
+
+
+def _cover_label(up, down, u: int, v: int) -> int:
+    # The least element of down(v) minus down(u) for a cover u -< v, or -1
+    # if there is none; along a linear extension only the lowest member can
+    # be least.  On a join-semidistributive lattice it exists (two minimal
+    # members x, y both join u to v, so x meet y does too) and it is the
+    # join-irreducible j with j join u = v and j meet u = j_*: the label.
+    rest = down[v] & ~down[u]
+    j = lowest(rest)
+    return j if rest & ~up[j] == 0 else -1
+
+
+def _spherical_raw(up, upper) -> bool:
+    # Do the atoms join to 1-hat (element 0 is 0-hat, the last is 1-hat)?
+    # On a meet-semidistributive lattice that is mu(0-hat, 1-hat) != 0.  By
+    # the crosscut theorem on the atoms, mu sums (-1)^|S| over the sets S
+    # of atoms with meet 0-hat and join 1-hat.  An atom a not in S has
+    # a meet s = 0-hat for each s in S, so a meet (join S) = 0-hat by
+    # meet-semidistributivity, and join S is not 1-hat.  So the sum has at
+    # most one term, S = all atoms, present iff they join to 1-hat.  Both
+    # tests pass on lattices of one or two elements.
+    n = len(up)
+    common = (1 << n) - 1
+    for a in bits(upper[0]):
+        common &= up[a]
+    return common == 1 << n - 1
+
 
 def _sd_witness(n: int, up: list[int], down: list[int], dual: bool):
     # Returns (x, y, z) violating the (join; meet if dual) law, else None.

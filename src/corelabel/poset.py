@@ -177,6 +177,14 @@ def _containment_poset(masks) -> Poset:
     ])
 
 
+def _restrict(up: list[int], elems: list[int]) -> list[int]:
+    # The up-masks of the suborder on elems, an ascending index list, over
+    # positions in elems.  Ascending indices keep a linear extension one.
+    pos = {x: k for k, x in enumerate(elems)}
+    sel = mask_of(elems)
+    return [mask_of(pos[y] for y in bits(up[x] & sel)) for x in elems]
+
+
 def from_covers(n: int, edges: Iterable[tuple[int, int]]) -> Poset:
     """Build the poset whose order is the transitive closure of the edges.
 

@@ -587,6 +587,16 @@ def check_mobius_range_meet_semidistributive(small):
     return bad
 
 
+def check_atom_join_top_iff_nonzero_mobius_meet_semidistributive(small):
+    bad = []
+    for k, lat in enumerate(small):
+        if not is_meet_semidistributive(lat):
+            continue
+        if (join_of(lat, atoms(lat)) == lat.top) != (mu(lat) != 0):
+            bad.append(f"lattice {k}: atom join disagrees with the Mobius value")
+    return bad
+
+
 def all_crosscuts(lat: Lattice):
     proper = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
     for r in range(1, len(proper) + 1):
@@ -642,6 +652,8 @@ EXTRA_CHECKS = [
 SMALL_CHECKS = [
     ("irreducible congruences match cover generators", check_irreducible_congruence_characterizations),
     ("meet-semidistributive Mobius values stay in range", check_mobius_range_meet_semidistributive),
+    ("meet-semidistributive atoms join to the top iff nonzero Mobius value",
+     check_atom_join_top_iff_nonzero_mobius_meet_semidistributive),
     ("every crosscut reproduces the Mobius value", check_crosscut_consistency),
     ("boolean iff semidistributive and atomic", check_boolean_iff_semidistributive_atomic),
     ("canonical joins exist iff join-semidistributive", check_canonical_joins_iff_join_semidistributive),

@@ -13,7 +13,6 @@ from corelabel import (
     biclosed_poset,
     boolean_defect,
     canonical_family_key,
-    canonical_join_representation,
     canonical_key_poset,
     closed_family,
     closed_sets_lattice,
@@ -36,6 +35,7 @@ from corelabel import (
 from corelabel.cli import main
 from corelabel.fixtures import load_closure, load_lattice
 from suites import CRITERION_CHECKS, check_crosscut_consistency
+from test_concept_kernels import reference_canonical_join_representation
 
 TABLE1_CSV_11 = [
     "1,1,1,1,1",
@@ -201,7 +201,7 @@ def test_criterion_5_theorem_suites(capsys, labeled_corpus):
 def test_criterion_6_oracle_equivalence(capsys, small_lattices, labeled_corpus):
     for lat, cl, _ in labeled_corpus:
         for x in range(lat.n):
-            assert gamma(cl, x) == canonical_join_representation(lat, x)
+            assert gamma(cl, x) == reference_canonical_join_representation(lat, x)
 
     assert check_crosscut_consistency(small_lattices) == []
 

@@ -207,6 +207,22 @@ CLO_FIG7A = [
 ]
 
 
+@pytest.mark.parametrize(
+    "argv, element",
+    [
+        (["quotient", "fig2a.lat", "--collapse", "0,99"], 99),
+        (["quotient", "fig2a.lat", "--collapse=-1,0"], -1),
+        (["double", "fig2a.lat", "--interval=-7,-6"], -7),
+        # A negative index would wrap to the top and double everything.
+        (["double", "fig2a.lat", "--interval=-5,4"], -5),
+    ],
+)
+def test_elements_out_of_range_exit_1(capsys, argv, element):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"error: element {element} out of range for n=5\n"
+
+
 def test_clo_goldens(capsys):
     rc, out, _ = run(capsys, "clo", "fig8a.lat")
     assert rc == 0
@@ -485,6 +501,18 @@ def test_search61_refuses_to_key_above_seven_points(capsys):
     assert rc == 1 and out == ""
     assert err == (
         f"error: ground size 8 above {biclosed.MAX_KEY_GROUND}: the relabeling "
+        "table would hold 2^m * m! lanes\n"
+    )
+
+
+def test_search61_refuses_ground_sets_too_large_to_key(capsys):
+    # No hit on 64 points could be keyed, so the Moore walk, which would
+    # allocate a 2^64 table, never starts.
+    rc, out, err = run(capsys, "search61", "--m", "64")
+    assert rc == 1
+    assert out.startswith("searching closure operators on 64 points")
+    assert err == (
+        f"error: ground size 64 above {biclosed.MAX_KEY_GROUND}: the relabeling "
         "table would hold 2^m * m! lanes\n"
     )
 
