@@ -266,8 +266,9 @@ def search_problem_6_1(
     An exhausted stream with no hits is a verified-empty result.  Every
     filter reads only the biclosed family, so its verdict is computed once
     per distinct family; the canonical key, which deduplicates the hits,
-    is computed only for Moore families that pass.  Ground sets that
-    canonical_family_key refuses are refused before the walk starts.
+    is computed only for Moore families that pass.  The size checks run
+    when the function is called, so ground sets that canonical_family_key
+    refuses are refused before a stream exists.
     """
     if m > bound:
         raise ValueError(f"ground size {m} above bound {bound}; raise bound explicitly")
@@ -296,21 +297,24 @@ def search_problem_6_1(
                     return False
         return not require_single_step or _single_step_witness(bic) is None
 
-    full = (1 << m) - 1
-    verdicts: dict[frozenset[int], bool] = {}
-    seen: set[tuple[int, ...]] = set()
-    for fam in moore_families(m):
-        bic = frozenset(x for x in fam if full ^ x in fam)
-        ok = verdicts.get(bic)
-        if ok is None:
-            ok = verdicts[bic] = passes(sorted(bic, key=lambda x: (x.bit_count(), x)))
-        if not ok:
-            continue
-        key = canonical_family_key(m, fam)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield operator_from_family(m, key)
+    def hits() -> Iterator[ClosureOperator]:
+        full = (1 << m) - 1
+        verdicts: dict[frozenset[int], bool] = {}
+        seen: set[tuple[int, ...]] = set()
+        for fam in moore_families(m):
+            bic = frozenset(x for x in fam if full ^ x in fam)
+            ok = verdicts.get(bic)
+            if ok is None:
+                ok = verdicts[bic] = passes(sorted(bic, key=lambda x: (x.bit_count(), x)))
+            if not ok:
+                continue
+            key = canonical_family_key(m, fam)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield operator_from_family(m, key)
+
+    return hits()
 
 
 def read_closure_text(text: str) -> tuple[ClosureOperator, list[str]]:

@@ -405,20 +405,22 @@ def _cmd_search61(args) -> int:
         filters.append("single-step")
     if not args.skip_clo:
         filters.append("core-label-order-not-lattice")
-    if not args.json:
-        print(
-            f"searching closure operators on {args.m} points "
-            f"(filters: {', '.join(filters) if filters else 'none'})"
-        )
-    hits = 0
-    for op in search_problem_6_1(
+    # The search refuses sizes when it is called, before the header.
+    found = search_problem_6_1(
         args.m,
         require_cu=not args.skip_cu,
         require_spherical=not args.skip_spherical,
         require_single_step=not args.skip_single_step,
         require_clo_not_lattice=not args.skip_clo,
         bound=max(args.m, 5),
-    ):
+    )
+    if not args.json:
+        print(
+            f"searching closure operators on {args.m} points "
+            f"(filters: {', '.join(filters) if filters else 'none'})"
+        )
+    hits = 0
+    for op in found:
         hits += 1
         if args.json:
             print(json.dumps({"m": op.m, "table": list(op.table)}))

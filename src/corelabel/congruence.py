@@ -205,9 +205,15 @@ def congruence_lattice(lat: Lattice, limit: int | None = None) -> CongruenceLatt
     rank = sorted(range(len(parts)), key=lambda k: (-len(set(parts[k])), parts[k]))
     congruences = tuple(Congruence(lat, parts[k]) for k in rank)
     # A coarser congruence has fewer classes, so rank order is a linear
-    # extension of Con(L), the containment order on the down-sets.
-    conlat = as_lattice(_containment_poset([downsets[k] for k in rank]))
-    assert isinstance(conlat, Lattice), "Con(L) must be a lattice"
+    # extension of Con(L), the containment order on the down-sets.  The
+    # down-sets are closed under union and intersection, which are the
+    # join and meet of Con(L); the identity comes first and the total
+    # congruence last.
+    masks = [downsets[k] for k in rank]
+    index = {d: k for k, d in enumerate(masks)}
+    join = [[index[d | e] for e in masks] for d in masks]
+    meet = [[index[d & e] for e in masks] for d in masks]
+    conlat = Lattice(_containment_poset(masks), meet, join, 0, len(masks) - 1)
     return CongruenceLattice(conlat, congruences)
 
 

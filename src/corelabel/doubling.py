@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -128,24 +127,43 @@ def write_script(pairs: Iterable[tuple[int, int]]) -> str:
 
 def generate_cu(max_n: int) -> Iterator[Lattice]:
     """Every congruence-uniform lattice with at most max_n elements, one per
-    isomorphism class, generated by breadth-first interval doubling."""
+    isomorphism class, generated by breadth-first interval doubling.
+
+    A generation is the list of lattices found from the one before.  Its
+    doublings are keyed in lanes, and only a doubling with a new key is
+    built as a Lattice, in the order of the generation.
+    """
     if max_n < 1:
         return
+    from .lanes import lane_map  # on first use, as in enumeration
+
     start = singleton_lattice()
     seen = {canonical_key_poset(start.poset)}
-    queue = deque([start])
     yield start
-    while queue:
-        lat = queue.popleft()
-        n = lat.n
-        for a in range(n):
-            for b in bits(lat.poset.up[a]):
-                size = (lat.poset.up[a] & lat.poset.down[b]).bit_count()
-                if n + size > max_n:
-                    continue
-                doubled = double_interval(lat, a, b)
-                key = canonical_key_poset(doubled.poset)
+    generation = [start]
+    while generation:
+        nxt = []
+        keyed = lane_map(lambda lat: _doubling_keys(lat, max_n), generation)
+        for lat, doublings in zip(generation, keyed):
+            for a, b, key in doublings:
                 if key not in seen:
                     seen.add(key)
-                    queue.append(doubled)
+                    doubled = double_interval(lat, a, b)
+                    nxt.append(doubled)
                     yield doubled
+        generation = nxt
+
+
+def _doubling_keys(lat: Lattice, max_n: int) -> list[tuple[int, int, bytes]]:
+    # (a, b, canonical key of the doubling by [a, b]) for every interval of
+    # lat whose doubling has at most max_n elements.
+    n = lat.n
+    up, down = lat.poset.up, lat.poset.down
+    out = []
+    for a in range(n):
+        for b in bits(up[a]):
+            interval = up[a] & down[b]
+            if n + interval.bit_count() <= max_n:
+                doubled, _ = double(lat.poset, bits(interval))
+                out.append((a, b, canonical_key_poset(doubled)))
+    return out

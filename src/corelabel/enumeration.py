@@ -106,24 +106,45 @@ def _materialize(ups: tuple[int, ...]):
     return (n, up, *_cover_reduction(n, up))
 
 
+def _keyed_children(ups: tuple[int, ...]) -> list[tuple]:
+    # (canonical key, child state, lattice arrays) for every child of a
+    # state; the new element is the child's last.
+    top = 1 << len(ups)
+    out = []
+    for u in _children(ups):
+        child = ups + (u | top,)
+        arrays = _materialize(child)
+        out.append((canonical_key(arrays[0], arrays[3], arrays[4]), child, arrays))
+    return out
+
+
+def _keys_only(keyed: list[tuple]) -> list[tuple]:
+    # What a lane sends back: the caller rebuilds the arrays of the few
+    # children it accepts, which keeps its peak memory flat.
+    return [(key, child, None) for key, child, _ in keyed]
+
+
 def _iter_lattice_arrays(max_n: int) -> Iterator[tuple]:
-    # One representative per isomorphism class, sizes ascending.
+    # One representative per isomorphism class, sizes ascending.  Each
+    # level's children are keyed in lanes; the first child with a new key,
+    # in the order of the parent states, stands for its class.
     assert max_n >= 1
+    # Imported on first use, so that importing corelabel does not compile
+    # the lanes module as well.
+    from .lanes import lane_map
+
     yield _materialize(())
     level: list[tuple[int, ...]] = [()]
-    for m in range(1, max_n):
+    for _ in range(1, max_n):
         seen: set[bytes] = set()
         nxt: list[tuple[int, ...]] = []
-        for ups in level:
-            for u in _children(ups):
-                child = ups + (u | 1 << m - 1,)
-                arrays = _materialize(child)
-                key = canonical_key(arrays[0], arrays[3], arrays[4])
+        for keyed in lane_map(_keyed_children, level, _keys_only):
+            for key, child, arrays in keyed:
                 if key in seen:
                     continue
                 seen.add(key)
                 nxt.append(child)
-                yield arrays
+                yield arrays or _materialize(child)
         level = nxt
 
 

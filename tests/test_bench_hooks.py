@@ -6,11 +6,14 @@ would otherwise surface only when the benchmark runs.
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
+import pytest
+
 import corelabel
-from corelabel import table1
+from corelabel import lanes, table1
 from corelabel.poset import Poset
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -60,3 +63,40 @@ def test_tracer_wraps_the_census_kernels_and_restores_them():
         for attr, value in names.items():
             assert after[name][attr] is value, f"{name}.{attr}"
     assert vars(Poset)["mobius"] is mobius
+
+
+def test_traced_rounds_count_the_same_spans_with_forked_lanes(monkeypatch):
+    # bench/run.py fails a traced run whose per-layer counts differ from
+    # round to round.  The n=9 level is keyed in a forked lane; spans inside
+    # a lane are not recorded, and the fixed split keeps the caller's share
+    # the same in every round.
+    monkeypatch.setattr(lanes, "_cpu_count", lambda: 2)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    tracing = load_tracing()
+    before = corelabel_namespaces()
+    counts = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        uninstall = tracer.install()
+        try:
+            rows = table1(9)
+        finally:
+            uninstall()
+        assert rows[-1].lattices == 1078
+        counts.append(tracer.snapshot(0.0)["counts"])
+    assert len(forks) == 2
+    assert counts[0] == counts[1]
+    assert counts[0]["calls"]["canon.canonical_key"] > 0
+    after = corelabel_namespaces()
+    for name, names in before.items():
+        for attr, value in names.items():
+            assert after[name][attr] is value, f"{name}.{attr}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -506,15 +506,17 @@ def test_search61_refuses_to_key_above_seven_points(capsys):
 
 
 def test_search61_refuses_ground_sets_too_large_to_key(capsys):
-    # No hit on 64 points could be keyed, so the Moore walk, which would
-    # allocate a 2^64 table, never starts.
-    rc, out, err = run(capsys, "search61", "--m", "64")
-    assert rc == 1
-    assert out.startswith("searching closure operators on 64 points")
-    assert err == (
-        f"error: ground size 64 above {biclosed.MAX_KEY_GROUND}: the relabeling "
-        "table would hold 2^m * m! lanes\n"
-    )
+    # No hit on 40 or 64 points could be keyed, so the Moore walk, which
+    # would allocate a 2^m table, never starts, and a refused run prints
+    # no header.
+    for m in ("40", "64"):
+        for extra in ((), ("--json",)):
+            rc, out, err = run(capsys, "search61", "--m", m, *extra)
+            assert (rc, out) == (1, ""), (m, extra)
+            assert err == (
+                f"error: ground size {m} above {biclosed.MAX_KEY_GROUND}: the "
+                "relabeling table would hold 2^m * m! lanes\n"
+            )
 
 
 def test_closure_ground_set_at_the_cap_is_read(capsys, tmp_path):

@@ -296,6 +296,30 @@ def test_con_of_a_chain_is_boolean():
     assert con.lattice.n == 1024 and len(con.lattice.poset.covers) == 10 * 512
 
 
+def assert_tables_match_as_lattice(lat):
+    conlat = congruence_lattice(lat).lattice
+    oracle = as_lattice(conlat.poset)
+    assert conlat.join == oracle.join
+    assert conlat.meet == oracle.meet
+    assert (conlat.bottom, conlat.top) == (oracle.bottom, oracle.top)
+
+
+def test_con_tables_match_as_lattice_on_small_lattices(small_lattices):
+    # Con(L)'s join and meet are read off its down-set bitsets; as_lattice
+    # on the same order is the oracle.
+    for lat in small_lattices:
+        assert_tables_match_as_lattice(lat)
+
+
+def test_con_tables_match_as_lattice_on_the_cu_corpus(cu_corpus):
+    for lat in cu_corpus:
+        assert_tables_match_as_lattice(lat)
+
+
+def test_con_tables_match_as_lattice_on_a_chain():
+    assert_tables_match_as_lattice(chain(11))
+
+
 def test_congruence_lattice_limit_stops_before_any_partition(monkeypatch):
     assert len(congruence_lattice(load_lattice("fig2a"), limit=5).congruences) == 5
 
