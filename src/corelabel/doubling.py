@@ -130,8 +130,8 @@ def generate_cu(max_n: int) -> Iterator[Lattice]:
     isomorphism class, generated by breadth-first interval doubling.
 
     A generation is the list of lattices found from the one before.  Its
-    doublings are keyed in lanes, and only a doubling with a new key is
-    built as a Lattice, in the order of the generation.
+    doublings are keyed through lanes.lane_map, and only a doubling with a
+    new key is built as a Lattice, in the order of the generation.
     """
     if max_n < 1:
         return

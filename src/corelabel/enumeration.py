@@ -126,8 +126,8 @@ def _keys_only(keyed: list[tuple]) -> list[tuple]:
 
 def _iter_lattice_arrays(max_n: int) -> Iterator[tuple]:
     # One representative per isomorphism class, sizes ascending.  Each
-    # level's children are keyed in lanes; the first child with a new key,
-    # in the order of the parent states, stands for its class.
+    # level's children are keyed through lane_map; the first child with a
+    # new key, in the order of the parent states, stands for its class.
     assert max_n >= 1
     # Imported on first use, so that importing corelabel does not compile
     # the lanes module as well.

@@ -1,32 +1,33 @@
-"""map() over an ordered list, with blocks of it computed in forked lanes.
+"""map() over an ordered list, with two blocks in three computed in a forked lane.
 
 lane_map(work, items) yields work(x) for every x in items, in order.  The
 items are cut into blocks of BLOCK.  When the process may run on more than
-one CPU, one child process (a lane) is forked per extra CPU; each computes
-its share of the blocks and sends every block's results back through its
-own pipe as one length-prefixed marshal frame, while the calling process
-computes the remaining blocks itself.  The caller sees the results in
-list order whichever process computed them, so a stream built on
-lane_map is the same with any number of lanes.  Results must therefore
-be marshal-able: ints, bytes, strings, tuples and lists of them.
+one CPU, one child process (the lane) is forked.  It computes blocks 1, 2,
+4, 5, 7, 8, ... and sends every block's results back through a pipe as one
+length-prefixed marshal frame, while the calling process computes blocks
+0, 3, 6, ... itself; the caller takes the smaller share because it also
+consumes every result.  The caller sees the results in list order
+whichever process computed them, so a stream built on lane_map is the
+same with or without the lane.  Results must therefore be marshal-able:
+ints, bytes, strings, tuples and lists of them.
 
-The split is fixed: in every run of 2k + 1 blocks (k lanes) the calling
-process takes the first and each lane the next two, because the caller
-also consumes every result.  A block of the census or of CU generation
-takes a few milliseconds, about what a fork costs, so lanes are forked
-only for a list of at least MIN_FORK_BLOCKS blocks, and at most one lane
-per MIN_FORK_BLOCKS blocks.  Small blocks keep each frame, and the
-caller's copy of it, small.
+At most one lane is forked, however many CPUs there are: the split above
+was measured on two CPUs only, and os.sched_getaffinity does not see a
+cgroup CPU quota, so more lanes could oversubscribe a container.  A block
+of the census or of CU generation takes a few milliseconds, about what a
+fork costs, so the lane is forked only for a list of at least
+MIN_FORK_BLOCKS blocks.  Small blocks keep each frame, and the caller's
+copy of it, small.
 
-One lane (the calling process alone, no fork) is used when the process may
+No lane (the calling process alone, no fork) is used when the process may
 run on one CPU only, when os.fork does not exist, when another thread is
 alive (a forked child would inherit its locks but not the thread), or when
 the list is too short.
 
-Every lane is killed and reaped when the stream ends, is closed early or
-stops on an error.  A lane ends with os._exit, never by returning into
-the caller's frames.  A lane that raises, or dies, makes the stream raise
-LaneError in the caller naming the lane.
+The lane is killed and reaped when the stream ends, is closed early or
+stops on an error.  It ends with os._exit, never by returning into the
+caller's frames.  A lane that raises, or dies, makes the stream raise
+LaneError in the caller naming the lane's pid.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ MIN_FORK_BLOCKS = 8
 
 
 class LaneError(RuntimeError):
-    """A forked lane raised or died before sending all of its blocks."""
+    """The forked lane raised or died before sending all of its blocks."""
 
 
 def _cpu_count() -> int:
@@ -50,79 +51,73 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _lane_count(nblocks: int) -> int:
-    # Forked lanes for a list of nblocks blocks; 0 is the one-lane path.
-    lanes = min(_cpu_count() - 1, nblocks // MIN_FORK_BLOCKS)
-    if lanes < 1 or not hasattr(os, "fork"):
-        return 0
+def _forks(nblocks: int) -> bool:
+    # Whether a list of nblocks blocks is shared with a forked lane.
+    if _cpu_count() < 2 or nblocks < MIN_FORK_BLOCKS or not hasattr(os, "fork"):
+        return False
     import threading
 
-    return lanes if threading.active_count() == 1 else 0
+    return threading.active_count() == 1
 
 
 def lane_map(work: Callable, items: list, send: Callable | None = None) -> Iterator:
     """work(x) for every x in items, in order; see the module docstring.
 
-    For an item computed in a lane the caller gets send(work(x)) instead,
-    when send is given: a lane can leave out what the caller can rebuild.
+    For an item computed in the lane the caller gets send(work(x)) instead,
+    when send is given: the lane can leave out what the caller can rebuild.
     """
     blocks = [items[k:k + BLOCK] for k in range(0, len(items), BLOCK)]
-    lanes = _lane_count(len(blocks))
-    if not lanes:
-        for x in items:
-            yield work(x)
+    if not _forks(len(blocks)):
+        yield from map(work, items)
         return
-    cycle = 2 * lanes + 1
-    owner = [(k % cycle + 1) // 2 for k in range(len(blocks))]
-    pids: dict[int, int] = {}
-    fds: dict[int, int] = {}
+    r, w = os.pipe()
     try:
-        for lane in range(1, lanes + 1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                # Out of processes: this lane's blocks run here instead.
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                _serve(lane, w, [r, *fds.values()], work, send,
-                       [b for b, o in zip(blocks, owner) if o == lane])
-            os.close(w)
-            pids[lane], fds[lane] = pid, r
+        pid = os.fork()
+    except OSError:
+        # Out of processes: every block runs here instead.
+        os.close(r)
+        os.close(w)
+        yield from map(work, items)
+        return
+    if pid == 0:
+        _serve(w, r, work, send, [b for k, b in enumerate(blocks) if k % 3])
+    os.close(w)
+    reaped = False
+    try:
         for k, block in enumerate(blocks):
-            lane = owner[k]
-            if lane in fds:
-                yield from _receive(lane, fds[lane], pids, k)
-            else:
-                for x in block:
-                    yield work(x)
+            if not k % 3:
+                yield from map(work, block)
+                continue
+            results = _receive(r, pid, k)
+            if results is None:
+                _, status = os.waitpid(pid, 0)
+                reaped = True
+                raise LaneError(
+                    f"lane (pid {pid}) ended with exit status "
+                    f"{os.waitstatus_to_exitcode(status)} before sending block {k}"
+                )
+            yield from results
     finally:
-        if pids:
+        if not reaped:
             import signal
 
-            for pid in pids.values():
-                os.kill(pid, signal.SIGKILL)
-        for fd in fds.values():
-            os.close(fd)
-        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        os.close(r)
 
 
-def _serve(lane: int, w: int, inherited: list[int], work: Callable,
-           send: Callable | None, blocks: list[list]) -> None:
-    # The body of a forked lane: send one frame per block, then exit.  It
+def _serve(w: int, r: int, work: Callable, send: Callable | None,
+           blocks: list[list]) -> None:
+    # The body of the forked lane: send one frame per block, then exit.  It
     # never returns, so no frame of the caller runs in the child.
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
+        os.close(r)
         try:
             for block in blocks:
                 results = [work(x) for x in block]
                 if send is not None:
-                    results = [send(r) for r in results]
+                    results = [send(x) for x in results]
                 _send(w, marshal.dumps(results))
             status = 0
         except BaseException:
@@ -144,19 +139,16 @@ def _send(fd: int, data: bytes, error: bool = False) -> None:
         view = view[os.write(fd, view):]
 
 
-def _receive(lane: int, fd: int, pids: dict[int, int], k: int) -> list:
-    # The results of block k from the lane's pipe.
+def _receive(fd: int, pid: int, k: int) -> list | None:
+    # The results of block k from the lane's pipe; None when the pipe ends
+    # before a whole frame.
     head = _read(fd, 4)
     size = int.from_bytes(head, "little", signed=True) if head else 0
-    body = _read(fd, abs(size)) if size else b""
-    if size < 0 and body is not None:
-        raise LaneError(f"lane {lane} failed on block {k}:\n{body.decode()}")
-    if not size or body is None:
-        _, status = os.waitpid(pids.pop(lane), 0)
-        raise LaneError(
-            f"lane {lane} ended with exit status "
-            f"{os.waitstatus_to_exitcode(status)} before sending block {k}"
-        )
+    body = _read(fd, abs(size)) if size else None
+    if body is None:
+        return None
+    if size < 0:
+        raise LaneError(f"lane (pid {pid}) failed on block {k}:\n{body.decode()}")
     return marshal.loads(body)
 
 

@@ -1,6 +1,6 @@
-"""Forked lanes: the same streams as one process, and no child left behind.
+"""The forked lane: the same streams as one process, and no child left behind.
 
-The lane count is forced by replacing lanes._cpu_count, so these tests
+The CPU count is forced by replacing lanes._cpu_count, so these tests
 take the forked path on a one-CPU host too.
 """
 
@@ -26,6 +26,20 @@ def refuse_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -40,10 +54,12 @@ def test_census_stream_is_the_one_lane_stream(monkeypatch):
     refuse_fork(monkeypatch)
     one = list(_iter_lattice_arrays(10))
     monkeypatch.undo()
-    # Two lanes at n=9 (28 blocks) and n=10 (135 blocks).
-    use_cpus(monkeypatch, 3)
+    # The n=9 (28 blocks) and n=10 (135 blocks) levels are forked.
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
     assert list(_iter_lattice_arrays(10)) == one
     assert len(one) == 7372
+    assert len(forks) == 2
     assert_no_child()
 
 
@@ -52,22 +68,32 @@ def test_generate_cu_is_the_one_lane_stream(monkeypatch):
     refuse_fork(monkeypatch)
     one = cu_ups(10)
     monkeypatch.undo()
-    use_cpus(monkeypatch, 3)
+    use_cpus(monkeypatch, 2)
     assert cu_ups(10) == one
     assert len(one) == 808
     assert_no_child()
 
 
 def test_lane_map_keeps_list_order(monkeypatch):
-    use_cpus(monkeypatch, 4)
+    use_cpus(monkeypatch, 2)
     items = list(range(1000))
     assert list(lane_map(lambda x: (x, [x * x], b"%d" % x), items)) == [
         (x, [x * x], b"%d" % x) for x in items]
     assert_no_child()
 
 
+def test_many_cpus_fork_one_lane_per_level(monkeypatch):
+    use_cpus(monkeypatch, 64)
+    forks = count_forks(monkeypatch)
+    assert sum(1 for _ in _iter_lattice_arrays(10)) == 7372
+    assert len(forks) == 2
+    assert list(lane_map(abs, list(range(-5000, 0)))) == list(range(5000, 0, -1))
+    assert len(forks) == 3
+    assert_no_child()
+
+
 def test_lanes_send_what_send_makes_of_a_result(monkeypatch):
-    # One lane: the caller computes blocks 0, 3, 6, ... itself.
+    # The caller computes blocks 0, 3, 6, ... itself.
     use_cpus(monkeypatch, 2)
     items = list(range(400))
     got = list(lane_map(lambda x: (x, "kept"), items, lambda r: (r[0], None)))
@@ -82,16 +108,7 @@ def test_lanes_send_what_send_makes_of_a_result(monkeypatch):
 ])
 def test_closing_a_stream_mid_level_leaves_no_child(monkeypatch, stream, stop):
     use_cpus(monkeypatch, 2)
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
+    forks = count_forks(monkeypatch)
     it = stream()
     for k, _ in enumerate(it):
         if k == stop:
@@ -117,7 +134,7 @@ def test_an_exception_in_a_lane_reaches_the_caller(monkeypatch):
             raise ValueError(f"bad item {x}")
         return x
 
-    with pytest.raises(LaneError, match="lane 1 failed on block 1") as err:
+    with pytest.raises(LaneError, match=r"lane \(pid \d+\) failed on block 1") as err:
         list(lane_map(work, list(range(200))))
     assert "ValueError: bad item 8" in str(err.value)
     assert_no_child()
@@ -132,8 +149,8 @@ def test_a_lane_that_dies_is_named_with_its_exit_status(monkeypatch):
             os._exit(3)
         return x
 
-    with pytest.raises(LaneError, match="lane 1 ended with exit status 3 "
-                                        "before sending block 1"):
+    with pytest.raises(LaneError, match=r"lane \(pid \d+\) ended with exit "
+                                        r"status 3 before sending block 1"):
         list(lane_map(work, list(range(200))))
     assert_no_child()
 
