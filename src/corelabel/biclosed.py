@@ -138,48 +138,86 @@ def moore_families(m: int) -> Iterator[frozenset[int]]:
 
     A depth-first walk over the subsets x = 2^m - 2, ..., 0: x is left out
     first and taken second, unless the intersection of x with a member
-    already taken forces it in.
+    already taken forces it in.  Below x = 8 the choices depend only on
+    the members' residues mod 8 and on which of 0..7 are forced, so the
+    walk stops there and yields the completions of that state, found once
+    per call.  Ground sizes outside 0..MAX_GROUND are refused at the call.
     """
-    full = (1 << m) - 1
-    fam = [full]
-    forced = bytearray(1 << m)
-    # One entry per decided subset: (x, None) when x is left out with its
-    # inclusion still to try, (x, marked) when x is in and taking it forced
-    # the subsets in marked.
-    stack: list[tuple[int, list[int] | None]] = []
-    x = full - 1
-    while True:
+    if not 0 <= m <= MAX_GROUND:
+        raise ValueError(f"ground size {m} outside 0..{MAX_GROUND}")
+
+    def tails(x: int, ys: tuple[int, ...], forced: int,
+              t: int, out: list[int]) -> list[int]:
+        # Appends to out every way on from x down to 0, as t plus the mask of
+        # the subsets taken, in walk order.  ys holds the residues mod 8 of
+        # the members taken so far; byte r of forced is 1 when r is forced.
         if x < 0:
-            yield frozenset(fam)
-            while stack:
-                x, marked = stack.pop()
-                if marked is None:
-                    break
-                fam.pop()
-                for r in marked:
-                    forced[r] = 0
-            else:
-                return
-        elif not forced[x]:
-            stack.append((x, None))
+            out.append(t)
+            return out
+        if not forced >> 8 * x & 1:
+            tails(x - 1, ys, forced, t, out)
+        for y in ys:
+            forced |= 1 << 8 * (x & y)
+        return tails(x - 1, ys + (x,), forced, t | 1 << x, out)
+
+    def walk() -> Iterator[frozenset[int]]:
+        full = (1 << m) - 1
+        fam = [full]
+        res = [1 << (full & 7)]  # res[i]: mask of the residues of fam[:i + 1]
+        forced = bytearray(1 << m)
+        # take[t]: the subsets in mask t, in the order the walk takes them.
+        take = [[x for x in range(7, -1, -1) if t >> x & 1] for t in range(256)]
+        # The completions of each state met so far, keyed by the residue mask
+        # and the forced flags of 0..7.
+        done: dict[tuple[int, int], bytes] = {}
+        # One entry per decided subset: (x, None) when x is left out with its
+        # inclusion still to try, (x, marked) when x is in and taking it
+        # forced the subsets in marked.
+        stack: list[tuple[int, list[int] | None]] = []
+        x = full - 1
+        while True:
+            if x < 8:
+                state = (res[-1], int.from_bytes(forced[:8], "little"))
+                if state not in done:
+                    ys = tuple(bits(state[0]))
+                    done[state] = bytes(tails(x, ys, state[1], 0, []))
+                for t in done[state]:
+                    yield frozenset(fam + take[t])
+                while stack:
+                    x, marked = stack.pop()
+                    if marked is None:
+                        break
+                    fam.pop()
+                    res.pop()
+                    for r in marked:
+                        forced[r] = 0
+                else:
+                    return
+            elif not forced[x]:
+                stack.append((x, None))
+                x -= 1
+                continue
+            # Take x: it is forced, or it was left out and now goes in.
+            marked = []
+            for y in fam:
+                r = x & y
+                if r != x and not forced[r]:
+                    forced[r] = 1
+                    marked.append(r)
+            fam.append(x)
+            res.append(res[-1] | 1 << (x & 7))
+            stack.append((x, marked))
             x -= 1
-            continue
-        # Take x: it is forced, or it was left out and now goes in.
-        marked = []
-        for y in fam:
-            r = x & y
-            if r != x and not forced[r]:
-                forced[r] = 1
-                marked.append(r)
-        fam.append(x)
-        stack.append((x, marked))
-        x -= 1
+
+    return walk()
 
 
 def operator_from_family(m: int, fam: Iterable[int]) -> ClosureOperator:
     """The closure operator whose closed sets are the given Moore family."""
     members = sorted(fam)
     full = (1 << m) - 1
+    if members and not 0 <= members[0] <= members[-1] <= full:
+        raise ValueError(f"family members must lie in 0..{full}")
     if full not in members:
         raise ValueError("a Moore family must contain the ground set")
     table = [0] * (1 << m)
@@ -189,8 +227,7 @@ def operator_from_family(m: int, fam: Iterable[int]) -> ClosureOperator:
             if f & x == x:
                 acc &= f
         table[x] = acc
-    op = ClosureOperator(m, table)
-    return op
+    return ClosureOperator(m, table)
 
 
 @cache
@@ -237,12 +274,15 @@ def canonical_family_key(m: int, fam: Iterable[int]) -> tuple[int, ...]:
     image where they differ is its own, that is when its lane is the
     greater number.  So the key is read off the greatest lane, compared
     as bytes.  A member listed twice counts once.  Ground sets above
-    MAX_KEY_GROUND points are refused.
+    MAX_KEY_GROUND points and members outside 0..2^m - 1 are refused.
     """
     _check_key_ground(m)
     rows, width = _relabel_table(m)
+    size = 1 << m
     packed = 0
     for f in fam:
+        if not 0 <= f < size:
+            raise ValueError(f"family member {f} outside 0..{size - 1}")
         packed |= rows[f]
     raw = packed.to_bytes(width * factorial(m), "big")
     best = max(raw[i:i + width] for i in range(0, len(raw), width))

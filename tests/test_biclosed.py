@@ -1,8 +1,10 @@
 """Closure operators, Moore families, biclosed sets, the Problem 6.1 search."""
 
+import hashlib
+import os
 import random
 import sys
-from itertools import islice, permutations, product
+from itertools import islice, permutations, product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -33,9 +35,14 @@ from corelabel import (
     write_closure_text,
 )
 from corelabel import biclosed
-from corelabel.biclosed import _containment_poset
+from corelabel.biclosed import MAX_GROUND, _containment_poset
 from corelabel.bitsets import bits
 from corelabel.fixtures import PROBLEM_61_HITS, load_closure, load_lattice, load_poset
+
+extended = pytest.mark.skipif(
+    not os.environ.get("CORELABEL_EXTENDED"),
+    reason="set CORELABEL_EXTENDED=1 for the full five-point walks",
+)
 
 
 def test_four_point_fixture_families():
@@ -94,6 +101,13 @@ def test_moore_family_counts():
     assert sum(1 for _ in moore_families(4)) == 2480
 
 
+def test_moore_families_refuse_ground_sizes_when_called():
+    # Refused before a stream exists: no next() is needed to see the error.
+    for m in (-1, MAX_GROUND + 1):
+        with pytest.raises(ValueError, match=rf"outside 0\.\.{MAX_GROUND}\b"):
+            moore_families(m)
+
+
 def test_moore_families_against_brute_force():
     for m in range(1, 4):
         full = (1 << m) - 1
@@ -114,6 +128,17 @@ def test_operator_from_family_round_trip():
         assert set(closed_family(op)) == set(fam)
     with pytest.raises(ValueError):
         operator_from_family(2, [0, 1])
+
+
+def test_family_members_outside_the_ground_set_are_refused():
+    for fam in ([-1], [4], [0, 3, 4], [3, -1]):
+        with pytest.raises(ValueError, match=r"family member -?\d+ outside 0\.\.3"):
+            canonical_family_key(2, fam)
+    for fam in ([3, 7, -2], [-1, 3], [0, 3, 4]):
+        with pytest.raises(ValueError, match=r"family members must lie in 0\.\.3"):
+            operator_from_family(2, fam)
+    assert canonical_family_key(2, [0, 3]) == (0, 3)
+    assert closed_family(operator_from_family(2, [0, 3])) == (0, 3)
 
 
 def test_canonical_family_key():
@@ -287,6 +312,32 @@ def test_moore_stream_prefix_on_five_points():
     )
 
 
+# The five-point stream, pinned by a SHA-256 computed from the plain
+# depth-first walk (the order of reference_moore_families): each family's
+# sorted members as bytes, followed by 0xff.
+MOORE_5_COUNT = 1_385_552
+MOORE_5_DIGEST = "5f4c5c9ed565d9ab9a9435a4b13b55b1d950c17807a240cd2cd675265fc0323a"
+
+
+def test_moore_stream_on_five_points_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for fam in moore_families(5):
+        count += 1
+        digest.update(bytes(sorted(fam)) + b"\xff")
+    assert count == MOORE_5_COUNT
+    assert digest.hexdigest() == MOORE_5_DIGEST
+
+
+@extended
+def test_moore_stream_on_five_points_matches_the_recursive_walk():
+    # Streamed on both sides; the members' iteration order must agree too.
+    pairs = zip_longest(moore_families(5), reference_moore_families(5))
+    for i, (got, want) in enumerate(pairs):
+        assert got == want and list(got) == list(want), i
+    assert i + 1 == MOORE_5_COUNT
+
+
 def test_family_keys_match_the_permutation_loop():
     rng = random.Random(61)
     for m in range(5):
@@ -394,3 +445,9 @@ def test_problem_6_1_hits_are_pairwise_distinct():
     keys = {canonical_family_key(5, closed_family(load_closure(name)[0]))
             for name, _ in PROBLEM_61_HITS}
     assert len(keys) == len(PROBLEM_61_HITS)
+
+
+@extended
+def test_search_on_five_points_prints_the_fixtures_in_order():
+    got = [op.table for op in search_problem_6_1(5)]
+    assert got == [load_closure(name)[0].table for name, _ in PROBLEM_61_HITS]
