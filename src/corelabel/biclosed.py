@@ -140,25 +140,11 @@ def moore_families(m: int) -> Iterator[frozenset[int]]:
     first and taken second, unless the intersection of x with a member
     already taken forces it in.  Below x = 8 the choices depend only on
     the members' residues mod 8 and on which of 0..7 are forced, so the
-    walk stops there and yields the completions of that state, found once
-    per call.  Ground sizes outside 0..MAX_GROUND are refused at the call.
+    walk stops there and yields the completions of that state, kept across
+    calls.  Ground sizes outside 0..MAX_GROUND are refused at the call.
     """
     if not 0 <= m <= MAX_GROUND:
         raise ValueError(f"ground size {m} outside 0..{MAX_GROUND}")
-
-    def tails(x: int, ys: tuple[int, ...], forced: int,
-              t: int, out: list[int]) -> list[int]:
-        # Appends to out every way on from x down to 0, as t plus the mask of
-        # the subsets taken, in walk order.  ys holds the residues mod 8 of
-        # the members taken so far; byte r of forced is 1 when r is forced.
-        if x < 0:
-            out.append(t)
-            return out
-        if not forced >> 8 * x & 1:
-            tails(x - 1, ys, forced, t, out)
-        for y in ys:
-            forced |= 1 << 8 * (x & y)
-        return tails(x - 1, ys + (x,), forced, t | 1 << x, out)
 
     def walk() -> Iterator[frozenset[int]]:
         full = (1 << m) - 1
@@ -167,9 +153,6 @@ def moore_families(m: int) -> Iterator[frozenset[int]]:
         forced = bytearray(1 << m)
         # take[t]: the subsets in mask t, in the order the walk takes them.
         take = [[x for x in range(7, -1, -1) if t >> x & 1] for t in range(256)]
-        # The completions of each state met so far, keyed by the residue mask
-        # and the forced flags of 0..7.
-        done: dict[tuple[int, int], bytes] = {}
         # One entry per decided subset: (x, None) when x is left out with its
         # inclusion still to try, (x, marked) when x is in and taking it
         # forced the subsets in marked.
@@ -177,11 +160,8 @@ def moore_families(m: int) -> Iterator[frozenset[int]]:
         x = full - 1
         while True:
             if x < 8:
-                state = (res[-1], int.from_bytes(forced[:8], "little"))
-                if state not in done:
-                    ys = tuple(bits(state[0]))
-                    done[state] = bytes(tails(x, ys, state[1], 0, []))
-                for t in done[state]:
+                forced_low = int.from_bytes(forced[:8], "little")
+                for t in _moore_tails(x, res[-1], forced_low):
                     yield frozenset(fam + take[t])
                 while stack:
                     x, marked = stack.pop()
@@ -210,6 +190,27 @@ def moore_families(m: int) -> Iterator[frozenset[int]]:
             x -= 1
 
     return walk()
+
+
+@cache
+def _moore_tails(x: int, residues: int, forced: int) -> bytes:
+    # The completions of the walk's state at its cut-off x < 8 (see _tails),
+    # kept across calls; residues is the mask of the members' residues.
+    return bytes(_tails(x, tuple(bits(residues)), forced, 0, []))
+
+
+def _tails(x: int, ys: tuple[int, ...], forced: int, t: int, out: list[int]) -> list[int]:
+    # Appends to out every way on from x down to 0, as t plus the mask of
+    # the subsets taken, in walk order.  ys holds the residues mod 8 of
+    # the members taken so far; byte r of forced is 1 when r is forced.
+    if x < 0:
+        out.append(t)
+        return out
+    if not forced >> 8 * x & 1:
+        _tails(x - 1, ys, forced, t, out)
+    for y in ys:
+        forced |= 1 << 8 * (x & y)
+    return _tails(x - 1, ys + (x,), forced, t | 1 << x, out)
 
 
 def operator_from_family(m: int, fam: Iterable[int]) -> ClosureOperator:

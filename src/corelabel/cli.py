@@ -51,15 +51,16 @@ from .poset import (
 )
 
 # Largest element count a poset file may declare.  The kernels are built
-# for small lattices (as_lattice fills n-by-n join and meet tables, and
-# `check` on a 256-element chain takes seconds), so the declared size is
-# checked before anything of that size is allocated.  Every bundled or
-# generated input (gen-cu stops at 14 elements) is far below it.
+# for small lattices (as_lattice tests all n^2 / 2 pairs, and `check` on a
+# 256-element chain takes seconds), so the declared size is checked before
+# anything of that size is allocated.  Every bundled or generated input
+# (gen-cu stops at 14 elements) is far below it.
 MAX_ELEMENTS = 256
 
 # Most congruences `con` lists.  Con(L) can have 2^(n-1) members (a chain
-# on n elements), and building it fills |Con L|-by-|Con L| tables, so the
-# count is taken from the cover congruences before any partition is built.
+# on n elements), and ordering them compares all |Con L|^2 pairs of their
+# down-set bitsets, so the count is taken from the cover congruences before
+# any partition is built.
 MAX_CONGRUENCES = 1024
 
 

@@ -82,16 +82,17 @@ def _validate_congruence(lat: Lattice, cls: tuple[int, ...]) -> None:
             )
     # With interval classes, compatibility reduces to checking the
     # endpoints of each class against every element.
+    up, down = lat.poset.up, lat.poset.down
     for members in groups.values():
         lo, hi = members[0], members[-1]
         if lo == hi:
             continue
         for u in range(n):
-            if cls[lat.meet[lo][u]] != cls[lat.meet[hi][u]]:
+            if cls[highest(down[lo] & down[u])] != cls[highest(down[hi] & down[u])]:
                 raise ValueError(
                     f"partition not meet-compatible at class [{lo},{hi}], u={u}"
                 )
-            if cls[lat.join[lo][u]] != cls[lat.join[hi][u]]:
+            if cls[lowest(up[lo] & up[u])] != cls[lowest(up[hi] & up[u])]:
                 raise ValueError(
                     f"partition not join-compatible at class [{lo},{hi}], u={u}"
                 )
@@ -205,15 +206,9 @@ def congruence_lattice(lat: Lattice, limit: int | None = None) -> CongruenceLatt
     rank = sorted(range(len(parts)), key=lambda k: (-len(set(parts[k])), parts[k]))
     congruences = tuple(Congruence(lat, parts[k]) for k in rank)
     # A coarser congruence has fewer classes, so rank order is a linear
-    # extension of Con(L), the containment order on the down-sets.  The
-    # down-sets are closed under union and intersection, which are the
-    # join and meet of Con(L); the identity comes first and the total
-    # congruence last.
-    masks = [downsets[k] for k in rank]
-    index = {d: k for k, d in enumerate(masks)}
-    join = [[index[d | e] for e in masks] for d in masks]
-    meet = [[index[d & e] for e in masks] for d in masks]
-    conlat = Lattice(_containment_poset(masks), meet, join, 0, len(masks) - 1)
+    # extension of Con(L), the containment order on the down-sets; the
+    # identity comes first and the total congruence last.
+    conlat = Lattice(_containment_poset([downsets[k] for k in rank]))
     return CongruenceLattice(conlat, congruences)
 
 

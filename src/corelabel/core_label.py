@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, permutations
+from operator import and_
 
-from .bitsets import bits, highest
+from .bitsets import bits, highest, lowest
 from .congruence import _cg_classes, is_congruence_uniform
-from .lattice import Lattice, Verdict, _cover_label, _irreducibles, atoms, is_crosscut
+from .lattice import (Lattice, Verdict, _cover_label, _crosscut_spans, _irreducibles,
+                      _require_elements, _unbounded_pair, atoms)
 from .poset import Poset, _containment_poset, _restrict
 
 
@@ -60,11 +63,13 @@ def _label_cu(lat: Lattice) -> CoverLabeling:
 
 def nucleus(lat: Lattice, x: int) -> int:
     """Meet of all lower covers of x; the bottom is its own nucleus."""
+    _require_elements(lat, x)
     return _nucleus(lat.poset.down, lat.poset.lower, x)
 
 
 def psi(cl: CoverLabeling, x: int) -> frozenset[int]:
     """Core label set: labels of all covers inside [nucleus(x), x]."""
+    _require_elements(cl.parent, x)
     p = cl.parent.poset
     m = _psi_mask(x, p.up, p.down, p.upper, p.lower, cl.jpos, cl.label)
     return frozenset(cl.jlist[k] for k in bits(m))
@@ -72,6 +77,7 @@ def psi(cl: CoverLabeling, x: int) -> frozenset[int]:
 
 def gamma(cl: CoverLabeling, x: int) -> frozenset[int]:
     """Canonical joinands of x read off the labels of its lower covers."""
+    _require_elements(cl.parent, x)
     return frozenset(cl.label[(y, x)] for y in bits(cl.parent.poset.lower[x]))
 
 
@@ -89,14 +95,17 @@ def core_label_order(cl: CoverLabeling) -> CoreLabelOrder:
 
 def is_clo_meet_semilattice(clo: CoreLabelOrder) -> Verdict:
     """Every pair has a greatest lower bound in the core label order."""
-    w = _clo_witness(clo.poset.n, clo.poset.down, False)
-    return Verdict(w is None, w)
+    # L's index order is a linear extension of the core label order.
+    w = _unbounded_pair(clo.poset.n, clo.poset.down, clo.poset.up, highest)
+    return Verdict(w is None, w and w[0])
 
 
 def is_clo_lattice(clo: CoreLabelOrder) -> Verdict:
     """Meet-semilattice with a greatest element, hence a lattice."""
-    w = _clo_witness(clo.poset.n, clo.poset.down, True)
-    return Verdict(w is None, w)
+    v = is_clo_meet_semilattice(clo)
+    if v and clo.poset.down[-1] != (1 << clo.poset.n) - 1:
+        return Verdict(False, "no greatest element")
+    return v
 
 
 def has_intersection_property(clo: CoreLabelOrder) -> Verdict:
@@ -128,18 +137,8 @@ def boolean_nexus(cl: CoverLabeling) -> tuple[list[int], Poset]:
 def crosscut_complex(lat: Lattice, c) -> list[frozenset[int]]:
     """Faces of the crosscut complex: subsets of the crosscut that do not
     simultaneously meet to 0-hat and join to 1-hat."""
-    cl = sorted(set(c))
-    if not is_crosscut(lat, cl):
-        raise ValueError(f"{cl} is not a crosscut")
-    faces = []
-    for sub in range(1 << len(cl)):
-        m, j = lat.top, lat.bottom
-        members = [cl[i] for i in bits(sub)]
-        for x in members:
-            m = lat.meet[m][x]
-            j = lat.join[j][x]
-        if not (m == lat.bottom and j == lat.top):
-            faces.append(frozenset(members))
+    cl, spans = _crosscut_spans(lat, c)
+    faces = [frozenset(cl[i] for i in bits(sub)) for sub, s in enumerate(spans) if not s]
     faces.sort(key=lambda f: (len(f), sorted(f)))
     return faces
 
@@ -148,24 +147,20 @@ def check_swap_lemma(lat: Lattice, y: int, covers) -> list[int]:
     """Find lower covers c_i of x = join of the given upper covers a_i of y
     with meet y and matching cover congruences; failure would be a bug."""
     a_list = sorted(set(covers))
+    _require_elements(lat, y, *a_list)
+    up, down = lat.poset.up, lat.poset.down
     for a in a_list:
         if not lat.poset.upper[y] >> a & 1:
             raise ValueError(f"{a} is not an upper cover of {y}")
     if not a_list:
         return []
-    x = lat.bottom
-    for a in a_list:
-        x = lat.join[x][a]
-    up, down = lat.poset.up, lat.poset.down
+    x = lowest(reduce(and_, (up[a] for a in a_list)))
     acg = [_cg_classes(lat.n, up, down, ((y, a),)) for a in a_list]
     cands = list(bits(lat.poset.lower[x]))
     ccg = {c: _cg_classes(lat.n, up, down, ((c, x),)) for c in cands}
     s = len(a_list)
     for combo in combinations(cands, s):
-        m = combo[0]
-        for c in combo[1:]:
-            m = lat.meet[m][c]
-        if m != y:
+        if highest(reduce(and_, (down[c] for c in combo))) != y:
             continue
         for perm in permutations(combo):
             if all(ccg[perm[i]] == acg[i] for i in range(s)):
@@ -217,22 +212,9 @@ def _psi_masks_raw(n: int, up, down, upper, lower, jlist, label):
     return [_psi_mask(x, up, down, upper, lower, jpos, label) for x in range(n)]
 
 
-def _clo_witness(n: int, down, need_top: bool):
-    # An order given by down-sets along a linear extension: the first pair
-    # (i, k) with no greatest common lower bound, then, if need_top, "no
-    # greatest element" when the last element is not above all; else None.
-    for i in range(n):
-        for k in range(i + 1, n):
-            d = down[i] & down[k]
-            if not d or d & ~down[highest(d)]:
-                return (i, k)
-    if need_top and down[n - 1] != (1 << n) - 1:
-        return "no greatest element"
-    return None
-
-
 def _clo_is_lattice_raw(n: int, psi_masks) -> bool:
     # Is the core label order a lattice?  On CU input the psi_masks are
     # distinct, and L's index order extends their containment (see
     # core_label_order).
-    return _clo_witness(n, _containment_poset(psi_masks).down, True) is None
+    p = _containment_poset(psi_masks)
+    return p.down[-1] == (1 << n) - 1 and _unbounded_pair(n, p.down, p.up, highest) is None

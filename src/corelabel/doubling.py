@@ -98,9 +98,7 @@ def run_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[DoublingScript, Lat
 
 def singleton_lattice() -> Lattice:
     """The one-element lattice."""
-    res = as_lattice(Poset._from_up_masks(1, [1]))
-    assert isinstance(res, Lattice)
-    return res
+    return Lattice(Poset._from_up_masks(1, [1]))
 
 
 def read_script(text: str) -> list[tuple[int, int]]:

@@ -1,4 +1,4 @@
-"""Lattice structure over Poset: tables, irreducibles, semidistributivity, crosscuts."""
+"""Lattice structure over Poset: joins and meets, irreducibles, semidistributivity, crosscuts."""
 
 from __future__ import annotations
 
@@ -48,20 +48,38 @@ class Verdict:
 
 
 class Lattice:
-    """A finite lattice: a Poset plus meet/join tables and 0-hat/1-hat."""
+    """A finite lattice: a Poset indexed along a linear extension, so 0-hat
+    is element 0 and 1-hat element n - 1.  Joins and meets are read off its
+    bitsets; the read-only join and meet tables are built on first access."""
 
-    __slots__ = ("poset", "meet", "join", "bottom", "top")
+    __slots__ = ("poset", "top", "_join", "_meet")
 
-    def __init__(self, poset: Poset, meet, join, bottom: int, top: int):
+    bottom = 0
+
+    def __init__(self, poset: Poset):
         self.poset = poset
-        self.meet = meet
-        self.join = join
-        self.bottom = bottom
-        self.top = top
+        self.top = poset.n - 1
+        self._join = self._meet = None
 
     @property
     def n(self) -> int:
         return self.poset.n
+
+    @property
+    def join(self) -> tuple[tuple[int, ...], ...]:
+        """join[x][y], the least upper bound of x and y."""
+        if self._join is None:
+            up = self.poset.up
+            self._join = tuple(tuple(lowest(u & v) for v in up) for u in up)
+        return self._join
+
+    @property
+    def meet(self) -> tuple[tuple[int, ...], ...]:
+        """meet[x][y], the greatest lower bound of x and y."""
+        if self._meet is None:
+            down = self.poset.down
+            self._meet = tuple(tuple(highest(d & e) for e in down) for d in down)
+        return self._meet
 
     def __repr__(self):
         return f"Lattice(n={self.n})"
@@ -73,30 +91,16 @@ def as_lattice(p: Poset):
     if n == 0:
         raise ValueError("the empty poset is not a lattice")
     up, down = p.up, p.down
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        join[i][i] = i
-        meet[i][i] = i
-    for i in range(n):
-        for j in range(i + 1, n):
-            u = up[i] & up[j]
-            if not u:
-                return NotALattice("join", (i, j), ())
-            z = lowest(u)
-            if u & ~up[z]:
-                mins = tuple(w for w in bits(u) if u & down[w] == 1 << w)
-                return NotALattice("join", (i, j), mins)
-            join[i][j] = join[j][i] = z
-            d = down[i] & down[j]
-            if not d:
-                return NotALattice("meet", (i, j), ())
-            z = highest(d)
-            if d & ~down[z]:
-                maxs = tuple(w for w in bits(d) if d & up[w] == 1 << w)
-                return NotALattice("meet", (i, j), maxs)
-            meet[i][j] = meet[j][i] = z
-    return Lattice(p, meet, join, 0, n - 1)
+    fails = []
+    w = _unbounded_pair(n, up, down, lowest)
+    if w:
+        fails.append(NotALattice("join", *w))
+    # With a least element the first failure is a join failure: if x, y
+    # have maximal common lower bounds a, b, the earlier pair a, b (both
+    # lie below x) has no join.  Without one, the meet side fails on row 0.
+    if up[0] != (1 << n) - 1:
+        fails.append(NotALattice("meet", *_unbounded_pair(n, down, up, highest)))
+    return min(fails, key=lambda f: f.pair) if fails else Lattice(p)
 
 
 def join_irreducibles(lat: Lattice) -> list[JoinIrreducibleIndex]:
@@ -150,21 +154,17 @@ def canonical_join_representation(lat: Lattice, x: int):
     least element; then x has no canonical representation (allowed on
     non-join-semidistributive input).
     """
+    _require_elements(lat, x)
     p = lat.poset
     got = frozenset(_cover_label(p.up, p.down, y, x) for y in bits(p.lower[x]))
     return None if -1 in got else got
 
 
 def is_atomic(lat: Lattice) -> bool:
-    """True iff every element is a join of atoms."""
-    am = lat.poset.upper[lat.bottom]
-    for x in range(lat.n):
-        v = lat.bottom
-        for a in bits(am & lat.poset.down[x]):
-            v = lat.join[v][a]
-        if v != x:
-            return False
-    return True
+    """True iff every element is a join of atoms, that is, iff every
+    join-irreducible covers 0-hat."""
+    lower = lat.poset.lower
+    return all(lower[j] == 1 for j in _irreducibles(lower))
 
 
 def is_crosscut(lat: Lattice, c) -> bool:
@@ -183,18 +183,24 @@ def is_crosscut(lat: Lattice, c) -> bool:
 
 def crosscut_mobius(lat: Lattice, c) -> int:
     """Sum of (-1)^|X| over spanning subsets X of the crosscut c."""
+    _, spans = _crosscut_spans(lat, c)
+    return sum(-1 if sub.bit_count() % 2 else 1 for sub, s in enumerate(spans) if s)
+
+
+def _crosscut_spans(lat: Lattice, c) -> tuple[list[int], list[bool]]:
+    # The sorted members of the crosscut c and, for each subset sub of them
+    # (bit i for the i-th member), whether it meets to 0-hat and joins to
+    # 1-hat.  The empty subset meets to 1-hat and joins to 0-hat.
     cl = sorted(set(c))
     if not is_crosscut(lat, cl):
         raise ValueError(f"{cl} is not a crosscut")
-    total = 0
-    for sub in range(1 << len(cl)):
-        m, j = lat.top, lat.bottom
-        for i in bits(sub):
-            m = lat.meet[m][cl[i]]
-            j = lat.join[j][cl[i]]
-        if m == lat.bottom and j == lat.top:
-            total += 1 if sub.bit_count() % 2 == 0 else -1
-    return total
+    up, down = lat.poset.up, lat.poset.down
+    full = (1 << lat.n) - 1
+    ups, downs = [full], [full]
+    for x in cl:
+        ups += [u & up[x] for u in ups]
+        downs += [d & down[x] for d in downs]
+    return cl, [u == 1 << lat.top and d == 1 for u, d in zip(ups, downs)]
 
 
 def is_spherical(lat: Lattice) -> bool:
@@ -218,6 +224,21 @@ def _require_elements(lat: Lattice, *xs: int) -> None:
 
 
 # Kernels on raw bitset arrays, shared with the enumeration stream.
+
+def _unbounded_pair(n: int, masks, dual, pick):
+    # The first pair i < k, row by row, whose common bounds b = masks[i] &
+    # masks[k] have no least (pick = lowest, masks = up, dual = down) or
+    # greatest (highest, down, up) member, as ((i, k), the minimal or
+    # maximal members of b); else None.  Along a linear extension only
+    # pick(b) can be least or greatest.
+    for i in range(n):
+        mi = masks[i]
+        for k in range(i + 1, n):
+            b = mi & masks[k]
+            if not b or b & ~masks[pick(b)]:
+                return (i, k), tuple(w for w in bits(b) if b & dual[w] == 1 << w)
+    return None
+
 
 def _irreducibles(covers: list[int]) -> list[int]:
     # Elements with exactly one cover in the given array: join-irreducibles

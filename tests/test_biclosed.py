@@ -305,6 +305,17 @@ def test_moore_stream_order_matches_the_recursive_walk(m):
     assert list(moore_families(m)) == list(reference_moore_families(m))
 
 
+def test_moore_tail_tables_are_kept_across_calls():
+    # The completions below the cut-off are keyed by the cut-off and the
+    # state, so walks of every ground size share them and a second walk
+    # builds none.
+    biclosed._moore_tails.cache_clear()
+    first = [list(moore_families(m)) for m in range(5)]
+    built = biclosed._moore_tails.cache_info().misses
+    assert [list(moore_families(m)) for m in range(5)] == first
+    assert biclosed._moore_tails.cache_info().misses == built
+
+
 def test_moore_stream_prefix_on_five_points():
     n = 40_000
     assert list(islice(moore_families(5), n)) == list(

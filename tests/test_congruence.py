@@ -1,5 +1,7 @@
 """Cover congruences, Con(L), quotients, kernels."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -297,16 +299,15 @@ def test_con_of_a_chain_is_boolean():
 
 
 def assert_tables_match_as_lattice(lat):
-    conlat = congruence_lattice(lat).lattice
-    oracle = as_lattice(conlat.poset)
-    assert conlat.join == oracle.join
-    assert conlat.meet == oracle.meet
-    assert (conlat.bottom, conlat.top) == (oracle.bottom, oracle.top)
+    # Imported here: test_lattice imports this module.
+    from test_lattice import assert_tables_match_reference
+
+    assert_tables_match_reference(congruence_lattice(lat).lattice)
 
 
 def test_con_tables_match_as_lattice_on_small_lattices(small_lattices):
-    # Con(L)'s join and meet are read off its down-set bitsets; as_lattice
-    # on the same order is the oracle.
+    # Con(L)'s joins and meets are read off its down-set bitsets; the
+    # earlier table-filling as_lattice on the same order is the oracle.
     for lat in small_lattices:
         assert_tables_match_as_lattice(lat)
 
@@ -318,6 +319,20 @@ def test_con_tables_match_as_lattice_on_the_cu_corpus(cu_corpus):
 
 def test_con_tables_match_as_lattice_on_a_chain():
     assert_tables_match_as_lattice(chain(11))
+
+
+def test_con_of_a_chain_peaks_under_four_megabytes():
+    # Con(L) stores no |Con L|-by-|Con L| tables; for the 1,024
+    # congruences of the 11-chain they would peak at 18.6 MB.
+    lat = chain(11)
+    tracemalloc.start()
+    try:
+        con = congruence_lattice(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(con.congruences) == 1024
+    assert peak < 4 * 2**20
 
 
 def test_congruence_lattice_limit_stops_before_any_partition(monkeypatch):

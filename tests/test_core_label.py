@@ -6,6 +6,7 @@ from corelabel import (
     are_isomorphic,
     boolean_defect,
     boolean_nexus,
+    canonical_join_representation,
     check_swap_lemma,
     core_label_order,
     crosscut_complex,
@@ -136,3 +137,21 @@ def test_swap_matchings():
     with pytest.raises(ValueError):
         check_swap_lemma(lat, 0, [5])
     assert check_swap_lemma(b3(), 0, [1, 2, 3]) == [6, 5, 4]
+
+
+@pytest.mark.parametrize("call", [
+    lambda lat, cl, x: nucleus(lat, x),
+    lambda lat, cl, x: psi(cl, x),
+    lambda lat, cl, x: gamma(cl, x),
+    lambda lat, cl, x: canonical_join_representation(lat, x),
+    lambda lat, cl, x: check_swap_lemma(lat, x, []),
+    lambda lat, cl, x: check_swap_lemma(lat, 0, [x]),
+], ids=["nucleus", "psi", "gamma", "canonical_join_representation",
+        "check_swap_lemma_y", "check_swap_lemma_covers"])
+@pytest.mark.parametrize("x", [-1, 5])
+def test_element_arguments_out_of_range_are_refused(call, x):
+    # A negative index would wrap round and answer for 1-hat.
+    lat = load_lattice("fig2a")
+    cl = label_covers(lat)
+    with pytest.raises(ValueError, match=f"element {x} out of range for n=5"):
+        call(lat, cl, x)

@@ -1,6 +1,7 @@
 """Lattice verdicts, irreducibles, semidistributivity, crosscuts."""
 
 import pytest
+from hypothesis import given, settings
 
 from corelabel import (
     Lattice,
@@ -8,8 +9,11 @@ from corelabel import (
     as_lattice,
     atoms,
     canonical_join_representation,
+    cg,
     coatoms,
+    congruence_lattice,
     crosscut_mobius,
+    double_interval,
     from_covers,
     is_atomic,
     is_crosscut,
@@ -19,8 +23,12 @@ from corelabel import (
     is_spherical,
     join_irreducibles,
     meet_irreducibles,
+    quotient,
+    run_intervals,
 )
+from corelabel.bitsets import bits, highest, lowest
 from corelabel.fixtures import load_lattice, load_poset
+from test_congruence import doubling_scripts
 
 
 def chain(n):
@@ -128,3 +136,125 @@ def test_every_small_lattice_reconstructs(small_lattices):
         rebuilt = as_lattice(from_covers(lat.n, lat.poset.covers))
         assert isinstance(rebuilt, Lattice)
         assert rebuilt.poset == lat.poset
+
+
+# The reference for as_lattice is the earlier version that filled both
+# tables pair by pair.  as_lattice now stores nothing and skips the meet
+# side when there is a least element; it must give the same verdicts and
+# witnesses, and its tables built on first access must equal these.
+
+
+def reference_as_lattice(p):
+    # (join, meet) tables as lists, or the NotALattice witness.
+    n = p.n
+    up, down = p.up, p.down
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for i in range(n):
+        join[i][i] = i
+        meet[i][i] = i
+    for i in range(n):
+        for j in range(i + 1, n):
+            u = up[i] & up[j]
+            if not u:
+                return NotALattice("join", (i, j), ())
+            z = lowest(u)
+            if u & ~up[z]:
+                mins = tuple(w for w in bits(u) if u & down[w] == 1 << w)
+                return NotALattice("join", (i, j), mins)
+            join[i][j] = join[j][i] = z
+            d = down[i] & down[j]
+            if not d:
+                return NotALattice("meet", (i, j), ())
+            z = highest(d)
+            if d & ~down[z]:
+                maxs = tuple(w for w in bits(d) if d & up[w] == 1 << w)
+                return NotALattice("meet", (i, j), maxs)
+            meet[i][j] = meet[j][i] = z
+    return join, meet
+
+
+def assert_tables_match_reference(lat):
+    join, meet = reference_as_lattice(lat.poset)
+    assert [list(row) for row in lat.join] == join
+    assert [list(row) for row in lat.meet] == meet
+    assert (lat.bottom, lat.top) == (0, lat.n - 1)
+
+
+def assert_as_lattice_matches_reference(p):
+    got, ref = as_lattice(p), reference_as_lattice(p)
+    if isinstance(ref, NotALattice):
+        assert got == ref
+    else:
+        assert isinstance(got, Lattice)
+        assert_tables_match_reference(got)
+    return got
+
+
+def test_as_lattice_matches_the_reference_on_small_lattices(small_lattices):
+    for lat in small_lattices:
+        assert_as_lattice_matches_reference(lat.poset)
+
+
+def test_as_lattice_matches_the_reference_on_the_cu_corpus(cu_corpus):
+    for lat in cu_corpus:
+        assert_as_lattice_matches_reference(lat.poset)
+
+
+@settings(deadline=None, max_examples=60)
+@given(doubling_scripts())
+def test_as_lattice_matches_the_reference_on_doublings(pairs):
+    _, lat = run_intervals(pairs)
+    assert_as_lattice_matches_reference(lat.poset)
+
+
+def test_as_lattice_matches_the_reference_on_non_lattices(small_lattices):
+    # Each small lattice with one cover removed; most lose a join or a meet.
+    # A meet failure comes first only when there is no least element, and
+    # then on row 0, with no common lower bound at all.
+    kinds = set()
+    assert isinstance(assert_as_lattice_matches_reference(load_poset("fig3_right")),
+                      NotALattice)
+    for lat in small_lattices:
+        covers = lat.poset.covers
+        for k in range(len(covers)):
+            got = assert_as_lattice_matches_reference(
+                from_covers(lat.n, covers[:k] + covers[k + 1:])
+            )
+            if isinstance(got, NotALattice):
+                kinds.add((got.kind, bool(got.bounds)))
+    assert kinds == {("join", False), ("join", True), ("meet", False)}
+
+
+def test_lattices_hold_no_tables_until_read():
+    lat = load_lattice("fig7a")
+    theta = cg(lat, 0, 1)
+    built = [
+        lat,
+        quotient(lat, theta)[0],
+        double_interval(lat, 0, 4),
+        congruence_lattice(lat).lattice,
+    ]
+    for got in built:
+        assert got._join is None and got._meet is None
+        assert_tables_match_reference(got)
+        assert got.join is got.join and got.meet is got.meet
+
+
+def reference_is_atomic(lat):
+    # Every element is the join of the atoms below it, joined in the table.
+    for x in range(lat.n):
+        v = lat.bottom
+        for a in atoms(lat):
+            if lat.poset.leq(a, x):
+                v = lat.join[v][a]
+        if v != x:
+            return False
+    return True
+
+
+def test_atomicity_matches_the_join_of_atoms(small_lattices, cu_corpus):
+    # is_atomic asks only whether every join-irreducible is an atom.
+    got = [(is_atomic(lat), reference_is_atomic(lat)) for lat in small_lattices + cu_corpus]
+    assert all(a == b for a, b in got)
+    assert {a for a, _ in got} == {True, False}
