@@ -9,6 +9,7 @@ import sys
 import time
 
 from corelabel import search_problem_6_1, write_closure_text
+from corelabel.biclosed import MAX_SEARCH_GROUND
 
 
 def main() -> int:
@@ -20,17 +21,13 @@ def main() -> int:
         help="drop the single-step filter (rediscovers the known four-point operator)",
     )
     args = parser.parse_args()
-    if not 1 <= args.max_m <= 5:
-        parser.error("--max-m must be between 1 and 5")
+    if not 1 <= args.max_m <= MAX_SEARCH_GROUND:
+        parser.error(f"--max-m must be between 1 and {MAX_SEARCH_GROUND}")
 
     total = 0
     for m in range(1, args.max_m + 1):
         start = time.perf_counter()
-        hits = list(
-            search_problem_6_1(
-                m, require_single_step=not args.skip_single_step, bound=args.max_m
-            )
-        )
+        hits = list(search_problem_6_1(m, require_single_step=not args.skip_single_step))
         elapsed = time.perf_counter() - start
         print(f"m={m}: {len(hits)} candidate(s) in {elapsed:.2f}s")
         for op in hits:

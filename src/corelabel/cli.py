@@ -97,13 +97,11 @@ def _require_lattice(path: str) -> Lattice:
 
 def _not_lattice_detail(w) -> str:
     x, y = w.pair
-    kind = "join" if w.kind == "join" else "meet"
     if not w.bounds:
         side = "upper" if w.kind == "join" else "lower"
         return f"elements {x} and {y} have no common {side} bound"
-    side = "minimal upper" if w.kind == "join" else "maximal lower"
     listed = ", ".join(str(b) for b in w.bounds)
-    return f"elements {x} and {y} have no {kind}: {side} bounds {listed}"
+    return f"elements {x} and {y} have no join: minimal upper bounds {listed}"
 
 
 def _yn(flag: bool) -> str:
@@ -397,28 +395,13 @@ def _cmd_biclosed(args) -> int:
 
 
 def _cmd_search61(args) -> int:
-    filters = []
-    if not args.skip_cu:
-        filters.append("congruence-uniform")
-    if not args.skip_spherical:
-        filters.append("spherical")
-    if not args.skip_single_step:
-        filters.append("single-step")
-    if not args.skip_clo:
-        filters.append("core-label-order-not-lattice")
     # The search refuses sizes when it is called, before the header.
-    found = search_problem_6_1(
-        args.m,
-        require_cu=not args.skip_cu,
-        require_spherical=not args.skip_spherical,
-        require_single_step=not args.skip_single_step,
-        require_clo_not_lattice=not args.skip_clo,
-        bound=max(args.m, 5),
-    )
+    found = search_problem_6_1(args.m, require_single_step=not args.skip_single_step)
     if not args.json:
+        step = "" if args.skip_single_step else "single-step, "
         print(
-            f"searching closure operators on {args.m} points "
-            f"(filters: {', '.join(filters) if filters else 'none'})"
+            f"searching closure operators on {args.m} points (filters: "
+            f"congruence-uniform, spherical, {step}core-label-order-not-lattice)"
         )
     hits = 0
     for op in found:
@@ -543,10 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("search61", _cmd_search61, "scan closure operators for candidates")
     sp.add_argument("--m", type=_positive_int, required=True)
-    sp.add_argument("--skip-cu", action="store_true")
-    sp.add_argument("--skip-spherical", action="store_true")
     sp.add_argument("--skip-single-step", action="store_true")
-    sp.add_argument("--skip-clo", action="store_true")
 
     sp = add("table1", _cmd_table1, "census of lattices by size")
     sp.add_argument("--max-n", type=_positive_int, required=True)

@@ -20,8 +20,9 @@ class Congruence:
     """A partition of a lattice compatible with meet and join.
 
     Stored as a class-index array where each element maps to the least
-    element of its class.  Construction validates that classes are
-    intervals and that collapsing them respects meet and join.
+    element of its class.  The constructor validates that classes are
+    intervals and that collapsing them respects meet and join; cg,
+    identity_congruence and congruence_lattice build through _trusted.
     """
 
     __slots__ = ("parent", "cls")
@@ -32,6 +33,19 @@ class Congruence:
         if len(self.cls) != parent.n:
             raise ValueError("class array length must equal the lattice size")
         _validate_congruence(parent, self.cls)
+
+    @classmethod
+    def _trusted(cls, parent: Lattice, arr: tuple[int, ...]) -> "Congruence":
+        """The trusted builder: nothing is checked.
+
+        arr must already be the class array of a congruence of parent.
+        Code that builds congruences by closure builds here; the
+        constructor is the entry point for outside partitions.
+        """
+        self = cls.__new__(cls)
+        self.parent = parent
+        self.cls = arr
+        return self
 
     def __eq__(self, other):
         return isinstance(other, Congruence) and self.cls == other.cls
@@ -107,7 +121,7 @@ def cg(lat: Lattice, x: int, y: int) -> Congruence:
         else:
             raise ValueError(f"cg requires a cover pair, got ({x}, {y})")
     arr = _cg_classes(lat.n, lat.poset.up, lat.poset.down, ((x, y),))
-    return Congruence(lat, arr)
+    return Congruence._trusted(lat, arr)
 
 
 def cg_join_irreducible(lat: Lattice, j: int) -> Congruence:
@@ -156,7 +170,7 @@ def _cg_classes(n: int, up, down, seed_pairs) -> tuple[int, ...]:
 
 def identity_congruence(lat: Lattice) -> Congruence:
     """The finest congruence: every class a singleton."""
-    return Congruence(lat, tuple(range(lat.n)))
+    return Congruence._trusted(lat, tuple(range(lat.n)))
 
 
 @dataclass(frozen=True)
@@ -204,7 +218,7 @@ def congruence_lattice(lat: Lattice, limit: int | None = None) -> CongruenceLatt
         top = d.bit_length() - 1
         parts.append(_join_partitions(parts[index[d ^ 1 << top]], gens[top]))
     rank = sorted(range(len(parts)), key=lambda k: (-len(set(parts[k])), parts[k]))
-    congruences = tuple(Congruence(lat, parts[k]) for k in rank)
+    congruences = tuple(Congruence._trusted(lat, parts[k]) for k in rank)
     # A coarser congruence has fewer classes, so rank order is a linear
     # extension of Con(L), the containment order on the down-sets; the
     # identity comes first and the total congruence last.

@@ -170,6 +170,28 @@ def enumerate_lattices(n: int, *, bound: int = DEFAULT_BOUND) -> Iterator[Lattic
         yield lat
 
 
+def _census_stage(n: int, up, down, upper, lower) -> int:
+    # How many of Table 1's columns c, s, S count the lattice: 0 if it is
+    # not congruence-uniform, 1 if it is but not spherical, 2 if its core
+    # label order is not a lattice, else 3.  |J| = |M| and both
+    # semidistributive laws hold in every CU lattice and cost less than
+    # the CU test, so they run first.  The kernels are looked up in this
+    # module's namespace, where the benchmark's tracer wraps them.
+    if len(_irreducibles(lower)) != len(_irreducibles(upper)):
+        return 0
+    if _sd_witness(n, up, down, False) is not None:
+        return 0
+    if _sd_witness(n, up, down, True) is not None:
+        return 0
+    if _cu_witness(n, up, down, upper, lower) is not None:
+        return 0
+    if not _spherical_raw(up, upper):
+        return 1
+    jlist, label = _labels_raw(n, up, down, upper, lower)
+    masks = _psi_masks_raw(n, up, down, upper, lower, jlist, label)
+    return 3 if _clo_is_lattice_raw(n, masks) else 2
+
+
 def _survey(
     max_n: int,
     on_failure: Callable[[int, tuple], None] | None = None,
@@ -178,28 +200,15 @@ def _survey(
     # stream's sizes ascend with no gap (there is a chain of every size).
     size, row = 1, [0, 0, 0, 0]
     for arrays in _iter_lattice_arrays(max_n):
-        n, up, down, upper, lower = arrays
+        n = arrays[0]
         if n != size:
             yield CountsRow(size, *row)
             size, row = n, [0, 0, 0, 0]
         row[0] += 1
-        if len(_irreducibles(lower)) != len(_irreducibles(upper)):
-            continue
-        if _sd_witness(n, up, down, False) is not None:
-            continue
-        if _sd_witness(n, up, down, True) is not None:
-            continue
-        if _cu_witness(n, up, down, upper, lower) is not None:
-            continue
-        row[1] += 1
-        if not _spherical_raw(up, upper):
-            continue
-        row[2] += 1
-        jlist, label = _labels_raw(n, up, down, upper, lower)
-        masks = _psi_masks_raw(n, up, down, upper, lower, jlist, label)
-        if _clo_is_lattice_raw(n, masks):
-            row[3] += 1
-        elif on_failure is not None:
+        stage = _census_stage(*arrays)
+        for col in range(1, stage + 1):
+            row[col] += 1
+        if stage == 2 and on_failure is not None:
             on_failure(n, arrays)
     yield CountsRow(size, *row)
 

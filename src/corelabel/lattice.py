@@ -12,8 +12,10 @@ from .poset import Poset
 class NotALattice:
     """Witness that a poset is not a lattice.
 
-    kind is "join" or "meet"; bounds holds the minimal upper (or maximal
-    lower) bounds of the offending pair, never exactly one of them.
+    kind is "join" or "meet".  A join witness's bounds are the minimal
+    upper bounds of its pair, none or at least two.  A meet witness comes
+    only from a poset without a least element: its pair is (0, k) for the
+    first k not above 0, which has no lower bound, so its bounds are empty.
     """
 
     kind: str
@@ -97,9 +99,11 @@ def as_lattice(p: Poset):
         fails.append(NotALattice("join", *w))
     # With a least element the first failure is a join failure: if x, y
     # have maximal common lower bounds a, b, the earlier pair a, b (both
-    # lie below x) has no join.  Without one, the meet side fails on row 0.
-    if up[0] != (1 << n) - 1:
-        fails.append(NotALattice("meet", *_unbounded_pair(n, down, up, highest)))
+    # lie below x) has no join.  Without one, element 0 is minimal, so the
+    # first meet failure is 0 and the first k not above it: no lower bound.
+    not_above = ~up[0] & (1 << n) - 1
+    if not_above:
+        fails.append(NotALattice("meet", (0, lowest(not_above)), ()))
     return min(fails, key=lambda f: f.pair) if fails else Lattice(p)
 
 

@@ -4,7 +4,7 @@ import hashlib
 import os
 import random
 import sys
-from itertools import islice, permutations, product, zip_longest
+from itertools import islice, permutations, zip_longest
 from pathlib import Path
 
 import pytest
@@ -170,8 +170,10 @@ def test_closure_text_round_trip_and_errors():
 
 def test_search_is_empty_on_three_points():
     assert list(search_problem_6_1(3)) == []
-    with pytest.raises(ValueError):
-        list(search_problem_6_1(6))
+    # Sizes whose walk cannot finish are refused at the call.
+    for m in (6, 7):
+        with pytest.raises(ValueError, match=f"ground size {m} above 5"):
+            search_problem_6_1(m)
 
 
 def test_search_without_single_step_rediscovers_the_fixture():
@@ -240,8 +242,7 @@ def reference_family_key(m, fam):
     return best
 
 
-def reference_search(m, require_cu, require_spherical, require_single_step,
-                     require_clo_not_lattice):
+def reference_search(m, require_single_step=True):
     # Keys through canonical_family_key, which is compared with
     # reference_family_key on its own below.
     full = (1 << m) - 1
@@ -250,26 +251,17 @@ def reference_search(m, require_cu, require_spherical, require_single_step,
         members = set(fam)
         bic = [x for x in members if full ^ x in members]
         bic.sort(key=lambda x: (x.bit_count(), x))
-        if require_cu or require_spherical or require_clo_not_lattice:
-            if not bic:
-                continue
-            lat = as_lattice(_containment_poset(tuple(bic)))
-            if not isinstance(lat, Lattice):
-                continue
-            if require_cu or require_clo_not_lattice:
-                cu = is_congruence_uniform(lat)
-                if require_cu and not cu:
-                    continue
-            if require_spherical:
-                if not is_meet_semidistributive(lat):
-                    continue
-                if lat.poset.mobius(lat.bottom, lat.top) == 0:
-                    continue
-            if require_clo_not_lattice:
-                if not cu:
-                    continue
-                if is_clo_lattice(core_label_order(label_covers(lat))):
-                    continue
+        if not bic:
+            continue
+        lat = as_lattice(_containment_poset(tuple(bic)))
+        if not isinstance(lat, Lattice) or not is_congruence_uniform(lat):
+            continue
+        if not is_meet_semidistributive(lat):
+            continue
+        if lat.poset.mobius(lat.bottom, lat.top) == 0:
+            continue
+        if is_clo_lattice(core_label_order(label_covers(lat))):
+            continue
         if require_single_step:
             members_set = set(bic)
             ok = all(
@@ -373,13 +365,13 @@ def test_family_keys_match_on_a_seeded_sample(m, count):
         assert canonical_family_key(m, relabel_family(fam, perm)) == key
 
 
-@pytest.mark.parametrize("flags", list(product((False, True), repeat=4)))
+@pytest.mark.parametrize("flags", [
+    {"m": m, "require_single_step": single_step}
+    for single_step in (True, False) for m in range(5)
+])
 def test_search_matches_the_per_family_loop(flags):
-    names = ("require_cu", "require_spherical", "require_single_step",
-             "require_clo_not_lattice")
-    for m in range(5):
-        got = [op.table for op in search_problem_6_1(m, **dict(zip(names, flags)))]
-        assert got == [op.table for op in reference_search(m, *flags)]
+    got = [op.table for op in search_problem_6_1(**flags)]
+    assert got == [op.table for op in reference_search(**flags)]
 
 
 def test_search_filters_each_biclosed_family_once(monkeypatch):
@@ -414,9 +406,7 @@ def test_single_step_kernel_is_shared(monkeypatch):
     op, _ = load_closure("ex61")
     assert is_single_step(op).witness == (4, 7)
     assert calls == [biclosed_family(op)]
-    hits = list(search_problem_6_1(4, require_cu=False, require_spherical=False,
-                                   require_clo_not_lattice=False))
-    assert len(hits) == 25 and len(calls) > 1
+    assert list(search_problem_6_1(4)) == [] and len(calls) > 1
 
 
 def _recheck61():

@@ -1,5 +1,7 @@
 """End-to-end checks of the command line interface."""
 
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -494,10 +496,9 @@ def test_closure_ground_set_above_the_cap_exits_1(capsys, tmp_path, monkeypatch,
 
 
 def test_search61_refuses_to_key_above_seven_points(capsys):
-    # With every filter skipped the first Moore family on 8 points is a hit,
-    # and keying it would build a 330 MB relabeling table.
-    rc, out, err = run(capsys, "search61", "--m", "8", "--json", "--skip-cu",
-                       "--skip-spherical", "--skip-single-step", "--skip-clo")
+    # Keying a hit on 8 points would build a 330 MB relabeling table; that
+    # refusal comes before the search's own size cap.
+    rc, out, err = run(capsys, "search61", "--m", "8", "--json", "--skip-single-step")
     assert rc == 1 and out == ""
     assert err == (
         f"error: ground size 8 above {biclosed.MAX_KEY_GROUND}: the relabeling "
@@ -517,6 +518,33 @@ def test_search61_refuses_ground_sets_too_large_to_key(capsys):
                 f"error: ground size {m} above {biclosed.MAX_KEY_GROUND}: the "
                 "relabeling table would hold 2^m * m! lanes\n"
             )
+
+
+def test_search61_refuses_ground_sets_too_large_to_walk(capsys):
+    # 6 and 7 points can be keyed, but the walk would visit every Moore
+    # family: 75,973,751,474 on 6 points.  A refused run prints no header.
+    for m in ("6", "7"):
+        for extra in ((), ("--json",)):
+            rc, out, err = run(capsys, "search61", "--m", m, *extra)
+            assert (rc, out) == (1, ""), (m, extra)
+            assert err == (
+                f"error: ground size {m} above {biclosed.MAX_SEARCH_GROUND}: the "
+                "search walks every Moore family, 75,973,751,474 of them on 6 "
+                "points\n"
+            )
+
+
+def test_every_option_is_read_by_its_handler():
+    # An option that parses but that no handler reads would be accepted and
+    # then ignored.
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, (name, action.dest)
 
 
 def test_closure_ground_set_at_the_cap_is_read(capsys, tmp_path):

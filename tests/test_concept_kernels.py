@@ -13,17 +13,22 @@ import pytest
 from hypothesis import given, settings
 
 from corelabel import (
+    Lattice,
     Poset,
+    as_lattice,
     atoms,
     boolean_nexus,
     canonical_join_representation,
     cli,
+    core_label_order,
     double,
     gamma,
+    is_clo_lattice,
     is_congruence_uniform,
     is_meet_semidistributive,
     is_spherical,
     label_covers,
+    moore_families,
     nucleus,
     run_intervals,
     search_problem_6_1,
@@ -31,6 +36,8 @@ from corelabel import (
 )
 from corelabel.bitsets import bits, highest, lowest, mask_of
 from corelabel.core_label import _labels_raw
+from corelabel.enumeration import _census_stage
+from corelabel.poset import _containment_poset
 from corelabel.fixtures import load_lattice
 from test_congruence import doubling_scripts
 from test_enumeration import TABLE1_SEVEN
@@ -213,3 +220,53 @@ def test_sphericity_never_runs_the_mobius_recursion(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert '"spherical": true' in out and "spherical: yes" in out
 
+
+
+# The census stage: how many of Table 1's columns c, s, S count a lattice.
+# The census and the closure search both read it; the public predicates
+# must give the same count.
+
+def public_stage(lat):
+    if not is_congruence_uniform(lat):
+        return 0
+    if not is_spherical(lat):
+        return 1
+    return 3 if is_clo_lattice(core_label_order(label_covers(lat))) else 2
+
+
+def assert_stages_match(lats):
+    stages = set()
+    for lat in lats:
+        p = lat.poset
+        stage = _census_stage(lat.n, p.up, p.down, p.upper, p.lower)
+        assert stage == public_stage(lat), p.covers
+        stages.add(stage)
+    return stages
+
+
+def biclosed_lattices(max_m):
+    # Every distinct nonempty biclosed family on at most max_m points whose
+    # containment order is a lattice.
+    fams = set()
+    for m in range(max_m + 1):
+        full = (1 << m) - 1
+        for fam in moore_families(m):
+            bic = tuple(sorted((x for x in fam if full ^ x in fam),
+                               key=lambda x: (x.bit_count(), x)))
+            if bic:
+                fams.add(bic)
+    lats = [as_lattice(_containment_poset(bic)) for bic in sorted(fams)]
+    return [lat for lat in lats if isinstance(lat, Lattice)]
+
+
+def test_census_stage_matches_the_public_api_on_small_lattices(small_lattices):
+    assert assert_stages_match(small_lattices) == {0, 1, 3}
+
+
+def test_census_stage_matches_the_public_api_on_the_cu_corpus(cu_corpus):
+    assert assert_stages_match(cu_corpus) == {1, 2, 3}
+
+
+def test_census_stage_matches_the_public_api_on_biclosed_lattices():
+    # Stage 2 is the closure search's target: ex61 on 4 points.
+    assert assert_stages_match(biclosed_lattices(4)) == {0, 2, 3}

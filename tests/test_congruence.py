@@ -68,6 +68,25 @@ def test_congruence_validation():
         Congruence(n5, (0, 0, 2, 3, 4))
 
 
+def test_built_congruences_skip_the_validation_they_pass(
+    small_lattices, cu_corpus, monkeypatch
+):
+    # cg, identity_congruence and congruence_lattice build by closure, so
+    # they skip the check that outside partitions get; each would pass it.
+    validate = congruence._validate_congruence
+    calls = []
+    monkeypatch.setattr(congruence, "_validate_congruence",
+                        lambda lat, cls: calls.append(cls))
+    built = []
+    for lat in small_lattices + cu_corpus:
+        built += [(lat, theta) for theta in congruence_lattice(lat).congruences]
+        built += [(lat, cg_join_irreducible(lat, ji.j)) for ji in join_irreducibles(lat)]
+        built.append((lat, identity_congruence(lat)))
+    assert calls == []
+    for lat, theta in built:
+        validate(lat, theta.cls)
+
+
 def test_congruence_lattice_of_the_pentagon():
     n5 = load_lattice("fig2a")
     con = congruence_lattice(n5)
