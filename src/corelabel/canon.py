@@ -51,8 +51,10 @@ def canonical_key(n: int, upper: list[int], lower: list[int]) -> bytes:
 
     rec(colors)
     assert best is not None
+    # 4 bytes a mask unless one needs more (n >= 34); n then fixes the width.
+    width = max(4, (max(best).bit_length() + 7) // 8)
     head = n.to_bytes(2, "little")
-    return head + b"".join(m.to_bytes(4, "little") for m in best)
+    return head + b"".join(m.to_bytes(width, "little") for m in best)
 
 
 def canonical_key_poset(p: Poset) -> bytes:

@@ -178,7 +178,8 @@ def _labels_raw(n: int, up, down, upper, lower):
     # (jlist, label dict), the label of the cover u -< v being the least
     # element of down(v) minus down(u) (see lattice._cover_label).
     label = {
-        (u, v): _cover_label(up, down, u, v) for u in range(n) for v in bits(upper[u])
+        (u, v): _cover_label(down, up, lowest, u, v)[0]
+        for u in range(n) for v in bits(upper[u])
     }
     return _irreducibles(lower), label
 

@@ -179,9 +179,9 @@ def _census_stage(n: int, up, down, upper, lower) -> int:
     # module's namespace, where the benchmark's tracer wraps them.
     if len(_irreducibles(lower)) != len(_irreducibles(upper)):
         return 0
-    if _sd_witness(n, up, down, False) is not None:
+    if _sd_witness(n, up, down, upper, False) is not None:
         return 0
-    if _sd_witness(n, up, down, True) is not None:
+    if _sd_witness(n, up, down, upper, True) is not None:
         return 0
     if _cu_witness(n, up, down, upper, lower) is not None:
         return 0

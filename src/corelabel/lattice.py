@@ -130,23 +130,24 @@ def coatoms(lat: Lattice) -> list[int]:
 
 
 def is_join_semidistributive(lat: Lattice) -> Verdict:
-    """Brute-force join-semidistributivity; witness triple (x, y, z) on failure."""
-    w = _sd_witness(lat.n, lat.poset.up, lat.poset.down, dual=False)
+    """Join-semidistributivity, read off the covers.  Witness on failure: a
+    cover x -< v and two minimal elements y < z of down(v) minus down(x)."""
+    p = lat.poset
+    w = _sd_witness(lat.n, p.up, p.down, p.upper, dual=False)
     return Verdict(w is None, w)
 
 
 def is_meet_semidistributive(lat: Lattice) -> Verdict:
-    """Brute-force meet-semidistributivity; witness triple (x, y, z) on failure."""
-    w = _sd_witness(lat.n, lat.poset.up, lat.poset.down, dual=True)
+    """Meet-semidistributivity, read off the covers.  Witness on failure: a
+    cover u -< x and two maximal elements y < z of up(u) minus up(x)."""
+    p = lat.poset
+    w = _sd_witness(lat.n, p.up, p.down, p.upper, dual=True)
     return Verdict(w is None, w)
 
 
 def is_semidistributive(lat: Lattice) -> Verdict:
     """Both semidistributive laws; first failing witness returned."""
-    v = is_join_semidistributive(lat)
-    if not v:
-        return v
-    return is_meet_semidistributive(lat)
+    return is_join_semidistributive(lat) and is_meet_semidistributive(lat)
 
 
 def canonical_join_representation(lat: Lattice, x: int):
@@ -160,8 +161,8 @@ def canonical_join_representation(lat: Lattice, x: int):
     """
     _require_elements(lat, x)
     p = lat.poset
-    got = frozenset(_cover_label(p.up, p.down, y, x) for y in bits(p.lower[x]))
-    return None if -1 in got else got
+    got = [_cover_label(p.down, p.up, lowest, y, x) for y in bits(p.lower[x])]
+    return None if any(k >= 0 for _, k in got) else frozenset(j for j, _ in got)
 
 
 def is_atomic(lat: Lattice) -> bool:
@@ -250,15 +251,16 @@ def _irreducibles(covers: list[int]) -> list[int]:
     return [v for v, c in enumerate(covers) if c and not c & (c - 1)]
 
 
-def _cover_label(up, down, u: int, v: int) -> int:
-    # The least element of down(v) minus down(u) for a cover u -< v, or -1
-    # if there is none; along a linear extension only the lowest member can
-    # be least.  On a join-semidistributive lattice it exists (two minimal
-    # members x, y both join u to v, so x meet y does too) and it is the
-    # join-irreducible j with j join u = v and j meet u = j_*: the label.
-    rest = down[v] & ~down[u]
-    j = lowest(rest)
-    return j if rest & ~up[j] == 0 else -1
+def _cover_label(masks, dual, pick, a: int, b: int) -> tuple[int, int]:
+    # For a cover u -< v, rest = down(v) minus down(u) (masks = down, dual
+    # = up, pick = lowest; a, b = u, v) or up(u) minus up(v) (up, down,
+    # highest; v, u).  Indices run along a linear extension, so j = pick(rest)
+    # is minimal (maximal) in rest, and k, the pick of the members not above
+    # (below) j, is another such member, or -1: then j is least (greatest)
+    # in rest.  The least one is the cover's label: j join u = v, j meet u = j_*.
+    rest = masks[b] & ~masks[a]
+    j = pick(rest)
+    return j, pick(rest & ~dual[j])
 
 
 def _spherical_raw(up, upper) -> bool:
@@ -277,25 +279,18 @@ def _spherical_raw(up, upper) -> bool:
     return common == 1 << n - 1
 
 
-def _sd_witness(n: int, up: list[int], down: list[int], dual: bool):
-    # Returns (x, y, z) violating the (join; meet if dual) law, else None.
-    if dual:
-        outer, inner = down, up
-    else:
-        outer, inner = up, down
-    for x in range(n):
-        ox = outer[x]
-        row = [_pick(ox & outer[y], dual) for y in range(n)]
-        for y in range(n):
-            xy = row[y]
-            for z in range(y + 1, n):
-                if row[z] != xy:
-                    continue
-                yz = _pick(inner[y] & inner[z], not dual)
-                if row[yz] != xy:
-                    return (x, y, z)
+def _sd_witness(n: int, up, down, upper, dual: bool):
+    # A triple (x, y, z) violating the join law (the meet law if dual), else
+    # None.  The join law holds iff every cover u -< v has a label.  If x join
+    # y = x join z = w > x join (y meet z) <= u -< w, then y, z lie in down(w)
+    # minus down(u), and a least member would lie below y meet z, so below u.
+    # Two minimal members y < z give u join y = u join z = v > u = u join
+    # (y meet z): the witness (u, y, z).  Dually (v, y, z) from up(u) minus up(v).
+    masks, other, pick = (up, down, highest) if dual else (down, up, lowest)
+    for u in range(n):
+        for v in bits(upper[u]):
+            a, b = (v, u) if dual else (u, v)
+            j, k = _cover_label(masks, other, pick, a, b)
+            if k >= 0:
+                return (a, min(j, k), max(j, k))
     return None
-
-
-def _pick(mask: int, take_highest: bool) -> int:
-    return highest(mask) if take_highest else lowest(mask)

@@ -10,7 +10,7 @@ from corelabel import are_isomorphic, canonical_key_poset, from_covers
 from corelabel import canon
 from corelabel.bitsets import bits
 from corelabel.fixtures import load_poset
-from suites import boolean_lattice
+from suites import boolean_lattice, weak_order
 
 
 @st.composite
@@ -151,7 +151,8 @@ def unpruned_key(p) -> bytes:
             )
         )
     )
-    return n.to_bytes(2, "little") + b"".join(m.to_bytes(4, "little") for m in best)
+    width = max(4, (max(best).bit_length() + 7) // 8)
+    return n.to_bytes(2, "little") + b"".join(m.to_bytes(width, "little") for m in best)
 
 
 def m_k(k):
@@ -220,3 +221,28 @@ def test_twins_are_branched_on_once(monkeypatch):
     monkeypatch.setattr(canon, "_refine", counted)
     canonical_key_poset(m_k(7))
     assert len(nodes) <= 7
+
+
+def chain_poset(n):
+    return from_covers(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_keys_widen_only_past_32_bit_masks():
+    # The 33-chain's top covers element 31, which fits in 4 bytes; the
+    # 34-chain's covers element 32, so its key takes 5 bytes a mask.
+    for n, width in ((33, 4), (34, 5)):
+        p = chain_poset(n)
+        key = canonical_key_poset(p)
+        assert len(key) == 2 + n * width
+        assert key == unpruned_key(p)
+        assert are_isomorphic(p, relabel(p, list(reversed(range(n)))))
+
+
+def test_weak_order_of_s5_matches_a_relabelled_copy():
+    p = weak_order(5).poset
+    perm = list(range(p.n))
+    random.Random(5).shuffle(perm)
+    q = relabel(p, perm)
+    assert canonical_key_poset(q) == canonical_key_poset(p) == unpruned_key(p)
+    assert are_isomorphic(p, q)
+    assert not are_isomorphic(p, from_covers(p.n, p.covers[1:]))

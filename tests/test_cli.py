@@ -75,9 +75,9 @@ def test_check_tests_each_semidistributive_law_once(capsys, monkeypatch):
     calls = []
     kernel = lattice._sd_witness
 
-    def counted(n, up, down, dual):
+    def counted(n, up, down, upper, dual):
         calls.append(dual)
-        return kernel(n, up, down, dual)
+        return kernel(n, up, down, upper, dual)
 
     monkeypatch.setattr(lattice, "_sd_witness", counted)
     for name in sorted(CHECK_GOLDENS):

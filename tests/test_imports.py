@@ -4,6 +4,7 @@ The lanes, the command line and the fixtures are imported on first use,
 so a plain import does not compile them.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -42,3 +43,42 @@ def test_import_loads_only_the_api_modules():
     where, loaded = proc.stdout.splitlines()
     assert Path(where).resolve() == Path(corelabel.__file__).resolve()
     assert set(loaded.split()) == EAGER
+
+
+def _definitions(tree):
+    # Module-level functions, classes and uppercase constants.
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.isupper():
+                    yield t.id
+
+
+def _uses(tree):
+    # Names read anywhere in the module, as a bare name, an attribute or
+    # an import (which may rename it).
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_definition_is_public_or_used():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(corelabel.__file__).parent.glob("*.py"))
+    }
+    used = {name for tree in trees.values() for name in _uses(tree)}
+    dead = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _definitions(tree)
+        if name not in corelabel.__all__ and name not in used
+    ]
+    assert dead == []

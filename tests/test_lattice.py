@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from corelabel import (
     Lattice,
     NotALattice,
+    Poset,
     as_lattice,
     atoms,
     canonical_join_representation,
@@ -27,7 +28,9 @@ from corelabel import (
     run_intervals,
 )
 from corelabel.bitsets import bits, highest, lowest
+from corelabel.enumeration import _iter_lattice_arrays
 from corelabel.fixtures import load_lattice, load_poset
+from suites import reference_sd_witness, violates_sd
 from test_congruence import doubling_scripts
 
 
@@ -90,7 +93,30 @@ def test_diamond_fails_semidistributivity():
 def test_semidistributive_fixtures():
     assert is_semidistributive(load_lattice("fig2a"))
     assert is_semidistributive(load_lattice("fig5"))
-    assert is_meet_semidistributive(load_lattice("fig9")).witness == (2, 1, 3)
+    fig9 = load_lattice("fig9")
+    # The cover 0 -< 2 fails: 1 and 8 are maximal in up(0) minus up(2).
+    witness = is_meet_semidistributive(fig9).witness
+    assert witness == (2, 1, 8)
+    assert violates_sd(fig9.poset.up, fig9.poset.down, witness, True)
+
+
+def assert_sd_matches_the_triple_search(lat):
+    n, up, down = lat.n, lat.poset.up, lat.poset.down
+    for dual, law in ((False, is_join_semidistributive), (True, is_meet_semidistributive)):
+        got = law(lat)
+        want = reference_sd_witness(n, up, down, dual)
+        assert bool(got) == (want is None)
+        assert got or violates_sd(up, down, got.witness, dual)
+
+
+def test_semidistributivity_matches_the_triple_search(small_lattices, cu_corpus):
+    for lat in small_lattices + cu_corpus:
+        assert_sd_matches_the_triple_search(lat)
+    count = 0
+    for arrays in _iter_lattice_arrays(9):
+        assert_sd_matches_the_triple_search(Lattice(Poset(*arrays)))
+        count += 1
+    assert count == 1378
 
 
 def test_canonical_join_representations():
