@@ -6,9 +6,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .bitsets import bits, mask_of
-from .canon import canonical_key_poset
-from .lattice import Lattice, NotALattice, _require_elements, as_lattice
-from .poset import FormatError, Poset, _restrict
+from .canon import canonical_key
+from .lattice import Lattice, _require_elements
+from .poset import FormatError, Poset, _cover_reduction, _restrict
 
 
 @dataclass
@@ -26,32 +26,32 @@ def double(p: Poset, members: Iterable[int]) -> tuple[Poset, tuple[tuple[int, in
     not be a lattice; callers check.
     """
     n = p.n
-    imask = mask_of(members)
+    elems, up = _doubled_up(p.up, p.down, mask_of(members))
+    ground = tuple((e % n, e // n) for e in elems)
+    return Poset._from_up_masks(len(elems), up), ground
+
+
+def _doubled_up(up, down, imask: int) -> tuple[list[int], list[int]]:
+    # The elements of the doubled poset, a suborder of P x 2 with (x, a)
+    # numbered x + a*n, and its up-masks over their positions.  That
+    # numbering is a linear extension of the componentwise order.
+    n = len(up)
     below = 0
     for y in bits(imask):
-        below |= p.down[y]
+        below |= down[y]
     full = (1 << n) - 1
-    # The doubled poset is a suborder of P x 2, with (x, a) numbered x + a*n.
-    # That numbering is the (bit, index) order, a linear extension of the
-    # componentwise order.
-    product = [u | u << n for u in p.up] + [u << n for u in p.up]
+    product = [u | u << n for u in up] + [u << n for u in up]
     elems = list(bits(below | ((full & ~below) | imask) << n))
-    ground = tuple((e % n, e // n) for e in elems)
-    return Poset._from_up_masks(len(elems), _restrict(product, elems)), ground
+    return elems, _restrict(product, elems)
 
 
 def double_interval(lat: Lattice, a: int, b: int) -> Lattice:
-    """Double by the interval [a, b]; the result is always a lattice."""
+    """Double by the interval [a, b]; the result is always a lattice (Day)."""
     _require_elements(lat, a, b)
     if not lat.poset.leq(a, b):
         raise ValueError(f"not an interval: {a} is not below {b}")
     interval = lat.poset.up[a] & lat.poset.down[b]
-    doubled, _ = double(lat.poset, bits(interval))
-    res = as_lattice(doubled)
-    assert not isinstance(res, NotALattice), (
-        "doubling a lattice by an interval must yield a lattice"
-    )
-    return res
+    return Lattice(double(lat.poset, bits(interval))[0])
 
 
 def irreducible_count_delta(lat: Lattice, members: Iterable[int]) -> int:
@@ -127,41 +127,35 @@ def generate_cu(max_n: int) -> Iterator[Lattice]:
     """Every congruence-uniform lattice with at most max_n elements, one per
     isomorphism class, generated by breadth-first interval doubling.
 
-    A generation is the list of lattices found from the one before.  Its
-    doublings are keyed through lanes.lane_map, and only a doubling with a
-    new key is built as a Lattice, in the order of the generation.
+    Each generation is a list of up-mask tuples, keyed by lanes.classes;
+    a new class is yielded as the Lattice of the masks it was keyed from.
     """
     if max_n < 1:
         return
-    from .lanes import lane_map  # on first use, as in enumeration
+    from .lanes import classes  # on first use, as in enumeration
 
-    start = singleton_lattice()
-    seen = {canonical_key_poset(start.poset)}
-    yield start
-    generation = [start]
-    while generation:
-        nxt = []
-        keyed = lane_map(lambda lat: _doubling_keys(lat, max_n), generation)
-        for lat, doublings in zip(generation, keyed):
-            for a, b, key in doublings:
-                if key not in seen:
-                    seen.add(key)
-                    doubled = double_interval(lat, a, b)
-                    nxt.append(doubled)
-                    yield doubled
-        generation = nxt
+    work = lambda up: _doublings(up, max_n)
+    for arrays in classes((1,), work, _arrays, max_n - 1):
+        yield Lattice(Poset(*arrays))
 
 
-def _doubling_keys(lat: Lattice, max_n: int) -> list[tuple[int, int, bytes]]:
-    # (a, b, canonical key of the doubling by [a, b]) for every interval of
-    # lat whose doubling has at most max_n elements.
-    n = lat.n
-    up, down = lat.poset.up, lat.poset.down
+def _arrays(up) -> tuple:
+    # The poset arrays of a lattice's up-masks.
+    n = len(up)
+    return (n, list(up), *_cover_reduction(n, up))
+
+
+def _doublings(up: tuple[int, ...], max_n: int) -> list[tuple]:
+    # (size, canonical key, up-masks, arrays) of every doubling of the
+    # lattice with these up-masks by an interval, up to max_n elements.
+    n = len(up)
+    down = _cover_reduction(n, up)[0]
     out = []
     for a in range(n):
         for b in bits(up[a]):
             interval = up[a] & down[b]
             if n + interval.bit_count() <= max_n:
-                doubled, _ = double(lat.poset, bits(interval))
-                out.append((a, b, canonical_key_poset(doubled)))
+                child = tuple(_doubled_up(up, down, interval)[1])
+                m, _, _, upper, lower = arrays = _arrays(child)
+                out.append((m, canonical_key(m, upper, lower), child, arrays))
     return out

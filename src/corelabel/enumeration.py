@@ -9,7 +9,7 @@ from .bitsets import bits
 from .canon import canonical_key
 from .congruence import _cu_witness
 from .core_label import _clo_is_lattice_raw, _labels_raw, _psi_masks_raw
-from .lattice import Lattice, _irreducibles, _sd_witness, _spherical_raw, as_lattice
+from .lattice import Lattice, _irreducibles, _sd_witness, _spherical_raw
 from .poset import Poset, _cover_reduction
 
 DEFAULT_BOUND = 12
@@ -107,45 +107,25 @@ def _materialize(ups: tuple[int, ...]):
 
 
 def _keyed_children(ups: tuple[int, ...]) -> list[tuple]:
-    # (canonical key, child state, lattice arrays) for every child of a
-    # state; the new element is the child's last.
+    # (size, canonical key, child state, lattice arrays) for every child of
+    # a state; the new element is the child's last.
     top = 1 << len(ups)
     out = []
     for u in _children(ups):
         child = ups + (u | top,)
-        arrays = _materialize(child)
-        out.append((canonical_key(arrays[0], arrays[3], arrays[4]), child, arrays))
+        n, _, _, upper, lower = arrays = _materialize(child)
+        out.append((n, canonical_key(n, upper, lower), child, arrays))
     return out
 
 
-def _keys_only(keyed: list[tuple]) -> list[tuple]:
-    # What a lane sends back: the caller rebuilds the arrays of the few
-    # children it accepts, which keeps its peak memory flat.
-    return [(key, child, None) for key, child, _ in keyed]
-
-
 def _iter_lattice_arrays(max_n: int) -> Iterator[tuple]:
-    # One representative per isomorphism class, sizes ascending.  Each
-    # level's children are keyed through lane_map; the first child with a
-    # new key, in the order of the parent states, stands for its class.
+    # One representative per isomorphism class, sizes ascending.  The
+    # kernels are looked up in this module, where the benchmark's tracer
+    # wraps them.
     assert max_n >= 1
-    # Imported on first use, so that importing corelabel does not compile
-    # the lanes module as well.
-    from .lanes import lane_map
+    from .lanes import classes  # on first use: importing corelabel skips it
 
-    yield _materialize(())
-    level: list[tuple[int, ...]] = [()]
-    for _ in range(1, max_n):
-        seen: set[bytes] = set()
-        nxt: list[tuple[int, ...]] = []
-        for keyed in lane_map(_keyed_children, level, _keys_only):
-            for key, child, arrays in keyed:
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append(child)
-                yield arrays or _materialize(child)
-        level = nxt
+    yield from classes((), _keyed_children, _materialize, max_n - 1)
 
 
 def _check_bound(max_n: int, bound: int) -> None:
@@ -163,11 +143,8 @@ def enumerate_lattices(n: int, *, bound: int = DEFAULT_BOUND) -> Iterator[Lattic
     """All lattices with n elements, one per isomorphism class."""
     _check_bound(n, bound)
     for size, up, down, upper, lower in _iter_lattice_arrays(n):
-        if size != n:
-            continue
-        lat = as_lattice(Poset(size, up, down, upper, lower))
-        assert isinstance(lat, Lattice)
-        yield lat
+        if size == n:
+            yield Lattice(Poset(size, up, down, upper, lower))
 
 
 def _census_stage(n: int, up, down, upper, lower) -> int:

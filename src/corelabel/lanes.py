@@ -1,4 +1,8 @@
-"""map() over an ordered list, with two blocks in three computed in a forked lane.
+"""Isomorph-free generation, with two blocks in three keyed in a forked lane.
+
+classes() is the one generation driver of the census and of CU generation,
+and the only copy of their dedupe policy: every child of a generation is
+keyed, and the first new key in parent order stands for its class.
 
 lane_map(work, items) yields work(x) for every x in items, in order.  The
 items are cut into blocks of BLOCK.  When the process may run on more than
@@ -58,6 +62,33 @@ def _forks(nblocks: int) -> bool:
     import threading
 
     return threading.active_count() == 1
+
+
+def classes(root, work: Callable, rebuild: Callable, depth: int) -> Iterator:
+    """rebuild(root), then the arrays of one child per isomorphism class.
+
+    work(state) lists (size, key, child, arrays) for each child of a state,
+    every child larger than the state.  Each of depth generations is keyed
+    through lane_map.  The lane sends all but the arrays, so the caller
+    builds rebuild(child) for each new class the lane keyed.
+    """
+    strip = lambda children: [(s, k, c, None) for s, k, c, _ in children]
+    yield rebuild(root)
+    seen: dict[int, set] = {}
+    generation = [root]
+    for _ in range(depth):
+        nxt, least = [], None
+        for children in lane_map(work, generation, strip):
+            for size, key, child, arrays in children:
+                keys = seen.setdefault(size, set())
+                if key not in keys:
+                    keys.add(key)
+                    nxt.append(child)
+                    least = size if least is None else min(least, size)
+                    yield arrays or rebuild(child)
+        # No later child has a size up to the least one just accepted.
+        seen = {s: keys for s, keys in seen.items() if least is not None and s > least}
+        generation = nxt
 
 
 def lane_map(work: Callable, items: list, send: Callable | None = None) -> Iterator:
@@ -154,15 +185,11 @@ def _receive(fd: int, pid: int, k: int) -> list | None:
 
 def _read(fd: int, size: int) -> bytes | None:
     # Exactly size bytes, or None when the pipe ends first.
-    data = os.read(fd, size)
-    if len(data) == size:
-        return data
-    chunks = [data]
-    got = len(data)
-    while got < size:
-        data = os.read(fd, size - got)
+    chunks = []
+    while size:
+        data = os.read(fd, size)
         if not data:
             return None
         chunks.append(data)
-        got += len(data)
+        size -= len(data)
     return b"".join(chunks)

@@ -302,11 +302,12 @@ def _parse_poset_json(text: str) -> tuple[int, list[tuple[int, int]]]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.lineno, f"bad JSON: {exc.msg}") from None
-    if not isinstance(obj, dict) or not isinstance(obj.get("n"), int):
+    # type() is int, not isinstance: JSON true and false load as bools.
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int:
         raise ValueError("expected an object with an integer field 'n'")
     covers = obj.get("covers", [])
     if not isinstance(covers, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
+        isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
         for e in covers
     ):
         raise ValueError("field 'covers' must be a list of [u, v] pairs")

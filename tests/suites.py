@@ -372,6 +372,8 @@ def check_doubling_bookkeeping(labeled):
         for a in range(lat.n):
             for b in bits(lat.poset.up[a]):
                 doubled = double_interval(lat, a, b)
+                if not isinstance(as_lattice(doubled.poset), Lattice):
+                    bad.append(f"lattice {k}: doubling [{a}, {b}] is not a lattice")
                 grown = len(join_irreducibles(doubled))
                 members = bits(lat.poset.up[a] & lat.poset.down[b])
                 if grown != base + irreducible_count_delta(lat, members):

@@ -4,6 +4,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -341,10 +342,30 @@ def test_table1_golden(capsys):
     ]
 
 
-def test_gen_cu_count_only(capsys):
-    rc, out, _ = run(capsys, "gen-cu", "--max-n", "5", "--count-only")
+# Table 1's column c: congruence-uniform lattices per size.
+CU_COUNTS = [1, 1, 1, 2, 4, 9, 22, 60, 174, 534, 1720, 5767]
+
+
+def gen_cu_counts(capsys, *argv):
+    rc, out, _ = run(capsys, "gen-cu", *argv, "--count-only")
     assert rc == 0
-    assert out.splitlines() == ["n=1: 1", "n=2: 1", "n=3: 1", "n=4: 2", "n=5: 4"]
+    max_n = int(argv[1])
+    assert out.splitlines() == [
+        f"n={n}: {c}" for n, c in enumerate(CU_COUNTS[:max_n], start=1)]
+
+
+def test_gen_cu_count_only(capsys):
+    gen_cu_counts(capsys, "--max-n", "5")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--max-n", "11"), id="11"),
+    pytest.param(("--max-n", "12", "--extended"), id="12", marks=pytest.mark.skipif(
+        not os.environ.get("CORELABEL_EXTENDED"),
+        reason="set CORELABEL_EXTENDED=1 for gen-cu through n=12")),
+])
+def test_gen_cu_count_only_matches_table1(capsys, argv):
+    gen_cu_counts(capsys, *argv)
 
 
 def test_gen_cu_blocks(capsys):
@@ -430,6 +451,21 @@ def test_error_diagnostics(capsys, tmp_path):
         "error: fig3_right.lat: not a lattice "
         "(elements 1 and 5 have no join: minimal upper bounds 8, 9)\n"
     )
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": true, "covers": []}', "expected an object with an integer field 'n'"),
+    ('{"n": 2, "covers": [[false, true]]}',
+     "field 'covers' must be a list of [u, v] pairs"),
+], ids=["n", "cover"])
+def test_json_booleans_are_not_integers(capsys, tmp_path, text, message):
+    path = tmp_path / "bool.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, "check", str(path))
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        corelabel.read_poset_json(text)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ import pytest
 from corelabel import (
     DoublingScript,
     FormatError,
+    Lattice,
     are_isomorphic,
+    as_lattice,
     double,
     double_interval,
     from_covers,
@@ -115,7 +117,10 @@ def test_generated_lattices_are_uniform_and_distinct():
 
 
 def test_corpus_counts_by_size(cu_corpus):
+    # generate_cu builds each kept doubling from its masks unchecked.
     per_size = {}
     for lat in cu_corpus:
+        assert isinstance(as_lattice(lat.poset), Lattice)
+        assert is_congruence_uniform(lat)
         per_size[lat.n] = per_size.get(lat.n, 0) + 1
     assert [per_size[n] for n in range(1, 10)] == [1, 1, 1, 2, 4, 9, 22, 60, 174]

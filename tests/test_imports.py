@@ -82,3 +82,30 @@ def test_every_definition_is_public_or_used():
         if name not in corelabel.__all__ and name not in used
     ]
     assert dead == []
+
+
+def _imported(tree):
+    # The names a module's imports bind, wherever they stand.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_import_is_used():
+    # __init__.py is left out: its imports are the package's re-exports.
+    unused = []
+    for path in sorted(Path(corelabel.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        unused += [f"{path.name}: {name}" for name in _imported(tree)
+                   if name not in read]
+    assert unused == []

@@ -4,6 +4,7 @@ The CPU count is forced by replacing lanes._cpu_count, so these tests
 take the forked path on a one-CPU host too.
 """
 
+import hashlib
 import os
 import threading
 
@@ -45,8 +46,14 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def cu_ups(max_n):
-    return [tuple(lat.poset.up) for lat in generate_cu(max_n)]
+def cu_arrays(max_n):
+    return [(p.n, p.up, p.down, p.upper, p.lower)
+            for p in (lat.poset for lat in generate_cu(max_n))]
+
+
+def digest(stream):
+    # Pins a stream byte for byte: its order, its masks and their types.
+    return hashlib.sha256(repr(stream).encode()).hexdigest()
 
 
 def test_census_stream_is_the_one_lane_stream(monkeypatch):
@@ -59,6 +66,8 @@ def test_census_stream_is_the_one_lane_stream(monkeypatch):
     forks = count_forks(monkeypatch)
     assert list(_iter_lattice_arrays(10)) == one
     assert len(one) == 7372
+    assert digest(one) == (
+        "2cb3274e16f952f5cef50c2ffe404e3de5fbf776550e911cdd8e2ccc0777bcc0")
     assert len(forks) == 2
     assert_no_child()
 
@@ -66,11 +75,13 @@ def test_census_stream_is_the_one_lane_stream(monkeypatch):
 def test_generate_cu_is_the_one_lane_stream(monkeypatch):
     use_cpus(monkeypatch, 1)
     refuse_fork(monkeypatch)
-    one = cu_ups(10)
+    one = cu_arrays(10)
     monkeypatch.undo()
     use_cpus(monkeypatch, 2)
-    assert cu_ups(10) == one
+    assert cu_arrays(10) == one
     assert len(one) == 808
+    assert digest(one) == (
+        "720a71218e73d7f4c165e6ac90b311e769c0ceea5d94d7c031189991ccee6ad6")
     assert_no_child()
 
 
@@ -166,7 +177,7 @@ def test_one_cpu_never_forks(monkeypatch):
     use_cpus(monkeypatch, 1)
     refuse_fork(monkeypatch)
     assert sum(1 for _ in _iter_lattice_arrays(9)) == 1378
-    assert len(cu_ups(9)) == 274
+    assert len(cu_arrays(9)) == 274
     assert list(lane_map(abs, list(range(-500, 0)))) == list(range(500, 0, -1))
 
 
