@@ -129,6 +129,8 @@ def generate_cu(max_n: int) -> Iterator[Lattice]:
 
     Each generation is a list of up-mask tuples, keyed by lanes.classes;
     a new class is yielded as the Lattice of the masks it was keyed from.
+    An interval doubling adds one join-irreducible, so generation g holds
+    the lattices with g of them, and a class lies in one generation only.
     """
     if max_n < 1:
         return
@@ -146,8 +148,8 @@ def _arrays(up) -> tuple:
 
 
 def _doublings(up: tuple[int, ...], max_n: int) -> list[tuple]:
-    # (size, canonical key, up-masks, arrays) of every doubling of the
-    # lattice with these up-masks by an interval, up to max_n elements.
+    # (canonical key, up-masks, arrays) of every doubling of the lattice
+    # with these up-masks by an interval, up to max_n elements.
     n = len(up)
     down = _cover_reduction(n, up)[0]
     out = []
@@ -157,5 +159,5 @@ def _doublings(up: tuple[int, ...], max_n: int) -> list[tuple]:
             if n + interval.bit_count() <= max_n:
                 child = tuple(_doubled_up(up, down, interval)[1])
                 m, _, _, upper, lower = arrays = _arrays(child)
-                out.append((m, canonical_key(m, upper, lower), child, arrays))
+                out.append((canonical_key(m, upper, lower), child, arrays))
     return out

@@ -107,21 +107,21 @@ def _materialize(ups: tuple[int, ...]):
 
 
 def _keyed_children(ups: tuple[int, ...]) -> list[tuple]:
-    # (size, canonical key, child state, lattice arrays) for every child of
-    # a state; the new element is the child's last.
+    # (canonical key, child state, lattice arrays) for every child of a
+    # state; the new element is the child's last.
     top = 1 << len(ups)
     out = []
     for u in _children(ups):
         child = ups + (u | top,)
-        n, _, _, upper, lower = arrays = _materialize(child)
-        out.append((n, canonical_key(n, upper, lower), child, arrays))
+        arrays = _materialize(child)
+        out.append((canonical_key(arrays[0], arrays[3], arrays[4]), child, arrays))
     return out
 
 
 def _iter_lattice_arrays(max_n: int) -> Iterator[tuple]:
-    # One representative per isomorphism class, sizes ascending.  The
-    # kernels are looked up in this module, where the benchmark's tracer
-    # wraps them.
+    # One representative per isomorphism class, sizes ascending: generation
+    # k holds the lattices of k + 1 elements.  The kernels are looked up in
+    # this module, where the benchmark's tracer wraps them.
     assert max_n >= 1
     from .lanes import classes  # on first use: importing corelabel skips it
 

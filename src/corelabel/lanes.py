@@ -67,27 +67,23 @@ def _forks(nblocks: int) -> bool:
 def classes(root, work: Callable, rebuild: Callable, depth: int) -> Iterator:
     """rebuild(root), then the arrays of one child per isomorphism class.
 
-    work(state) lists (size, key, child, arrays) for each child of a state,
-    every child larger than the state.  Each of depth generations is keyed
-    through lane_map.  The lane sends all but the arrays, so the caller
-    builds rebuild(child) for each new class the lane keyed.
+    work(state) lists (key, child, arrays) for each child of a state.  Each
+    of depth generations is keyed through lane_map, and each class must lie
+    in one generation only, so one generation's keys are all its dedupe
+    reads.  The lane sends all but the arrays, so the caller builds
+    rebuild(child) for each new class the lane keyed.
     """
-    strip = lambda children: [(s, k, c, None) for s, k, c, _ in children]
+    strip = lambda children: [(k, c, None) for k, c, _ in children]
     yield rebuild(root)
-    seen: dict[int, set] = {}
     generation = [root]
     for _ in range(depth):
-        nxt, least = [], None
+        seen, nxt = set(), []
         for children in lane_map(work, generation, strip):
-            for size, key, child, arrays in children:
-                keys = seen.setdefault(size, set())
-                if key not in keys:
-                    keys.add(key)
+            for key, child, arrays in children:
+                if key not in seen:
+                    seen.add(key)
                     nxt.append(child)
-                    least = size if least is None else min(least, size)
                     yield arrays or rebuild(child)
-        # No later child has a size up to the least one just accepted.
-        seen = {s: keys for s, keys in seen.items() if least is not None and s > least}
         generation = nxt
 
 

@@ -346,26 +346,25 @@ def test_table1_golden(capsys):
 CU_COUNTS = [1, 1, 1, 2, 4, 9, 22, 60, 174, 534, 1720, 5767]
 
 
-def gen_cu_counts(capsys, *argv):
-    rc, out, _ = run(capsys, "gen-cu", *argv, "--count-only")
+def gen_cu_counts(capsys, max_n, *flags):
+    rc, out, _ = run(capsys, "gen-cu", "--max-n", str(max_n), *flags, "--count-only")
     assert rc == 0
-    max_n = int(argv[1])
     assert out.splitlines() == [
         f"n={n}: {c}" for n, c in enumerate(CU_COUNTS[:max_n], start=1)]
 
 
 def test_gen_cu_count_only(capsys):
-    gen_cu_counts(capsys, "--max-n", "5")
+    gen_cu_counts(capsys, 5)
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(("--max-n", "11"), id="11"),
-    pytest.param(("--max-n", "12", "--extended"), id="12", marks=pytest.mark.skipif(
+@pytest.mark.parametrize("max_n, flags", [
+    pytest.param(11, (), id="11"),
+    pytest.param(12, ("--extended",), id="12", marks=pytest.mark.skipif(
         not os.environ.get("CORELABEL_EXTENDED"),
         reason="set CORELABEL_EXTENDED=1 for gen-cu through n=12")),
 ])
-def test_gen_cu_count_only_matches_table1(capsys, argv):
-    gen_cu_counts(capsys, *argv)
+def test_gen_cu_count_only_matches_table1(capsys, max_n, flags):
+    gen_cu_counts(capsys, max_n, *flags)
 
 
 def test_gen_cu_blocks(capsys):

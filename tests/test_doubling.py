@@ -116,6 +116,15 @@ def test_generated_lattices_are_uniform_and_distinct():
     assert per_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 4, 6: 9}
 
 
+def test_generations_are_join_irreducible_counts(cu_corpus):
+    # Each interval doubling adds one join-irreducible, so generation g of
+    # generate_cu holds the lattices with g of them, in stream order, and
+    # lanes.classes needs only one generation's keys to dedupe it.
+    counts = [len(join_irreducibles(lat)) for lat in cu_corpus]
+    assert counts == sorted(counts)
+    assert (counts[0], counts[-1]) == (0, 8)
+
+
 def test_corpus_counts_by_size(cu_corpus):
     # generate_cu builds each kept doubling from its masks unchecked.
     per_size = {}
